@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Union
 
 from .numeric import two_adic_valuation
-from .pattern import SignedPattern
+from .pattern import SignedPattern, sorted_skips
 from .realizability import valid_odd_cycle
 
 RULE_NONE = "none"
@@ -61,11 +61,7 @@ class SkipSet:
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "SkipSet":
-        elems = tuple(sorted(set(values)))
-        if not elems:
-            raise ValueError("skip set must be nonempty")
-        if any(v < 1 for v in elems):
-            raise ValueError(f"skips must be positive, got {elems}")
+        elems = sorted_skips(values)
         return cls(elems, math.gcd(*elems))
 
     @property

@@ -33,6 +33,7 @@ from .search import longest_odd_cycle, longest_path
 from .skipgraph import (
     DEFAULT_PERIOD_CAP,
     Coloring,
+    OddCycleCertificate,
     PeriodCapExceeded,
     build_graph,
     find_odd_cycle,
@@ -58,7 +59,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _period_cap(args) -> int:
-    if getattr(args, "max_period", None):
+    if getattr(args, "max_period", None) is not None:
         return args.max_period
     env = os.environ.get(ENV_MAX_PERIOD)
     if env:
@@ -73,10 +74,27 @@ def _emit(args, payload: dict, human: str) -> None:
     print(json.dumps(payload) if args.json else human)
 
 
-def _mirrored_line(coloring: Coloring) -> str:
-    # position i in 1..period mirrors vertex period - i, so the mirrored
-    # sequence is one block read backwards
-    return " ".join("+1" if v > 0 else "-1" for v in coloring.values[::-1])
+def _mirrored(args, period: int, found):
+    """A coloring or odd cycle moved onto progression positions 1..period
+    under --erdos-indexing, else unchanged.
+
+    Position i is vertex period - i, so a coloring reads backwards and
+    every step of a cycle flips its sign.
+    """
+    if not args.erdos_indexing:
+        return found
+    if isinstance(found, Coloring):
+        return Coloring.from_values(found.values[::-1])
+    sp = SignedPattern(tuple((-s, a) for s, a in found.signed_pattern.steps))
+    return OddCycleCertificate(sp, period - found.start)
+
+
+def _emit_cycle(args, key: str, cert: OddCycleCertificate) -> None:
+    _emit(
+        args,
+        {key: cert.to_json_dict()},
+        f"odd cycle: {format_pattern(cert.signed_pattern)} at {cert.start}",
+    )
 
 
 def _cmd_classify(args) -> int:
@@ -99,20 +117,12 @@ def _cmd_color(args) -> int:
     g = build_graph(_parse_int_list(args.skips, "skip set"), _period_cap(args))
     coloring = two_color(g)
     if coloring is not None:
-        line = _mirrored_line(coloring) if args.erdos_indexing else coloring.line()
+        line = _mirrored(args, g.period, coloring).line()
         _emit(args, {"period": g.period, "coloring": line}, line)
         return 0
     cert = find_odd_cycle(g)
     assert cert is not None
-    sp, start = cert.signed_pattern, cert.start
-    if args.erdos_indexing:
-        sp = SignedPattern(tuple((-s, a) for s, a in sp.steps))
-        start = g.period - start
-    _emit(
-        args,
-        {"odd_cycle": realize(sp, start).to_json_dict()},
-        f"odd cycle: {format_pattern(sp)} at {start}",
-    )
+    _emit_cycle(args, "odd_cycle", _mirrored(args, g.period, cert))
     return 1
 
 
@@ -122,15 +132,7 @@ def _cmd_cycle(args) -> int:
     if cert is None:
         _emit(args, {"certificate": None}, "none")
         return 0
-    sp, start = cert.signed_pattern, cert.start
-    if args.erdos_indexing:
-        sp = SignedPattern(tuple((-s, a) for s, a in sp.steps))
-        start = g.period - start
-    _emit(
-        args,
-        {"certificate": realize(sp, start).to_json_dict()},
-        f"odd cycle: {format_pattern(sp)} at {start}",
-    )
+    _emit_cycle(args, "certificate", _mirrored(args, g.period, cert))
     return 0
 
 
@@ -232,8 +234,7 @@ def _read_coloring(path: str) -> Coloring:
 
 def _cmd_verify(args) -> int:
     coloring = _read_coloring(args.coloring)
-    if args.erdos_indexing:
-        coloring = Coloring.from_values(coloring.values[::-1])
+    coloring = _mirrored(args, coloring.period, coloring)
     worst = verify_discrepancy(coloring, _parse_int_list(args.skips, "skip set"), args.horizon)
     _emit(
         args,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 
 class PatternSyntaxError(ValueError):
@@ -28,6 +28,17 @@ class SignInferenceError(ValueError):
             f"term {term} is not a multiple of skip {skip} (step {index})"
         )
         self.index = index
+
+
+def sorted_skips(values: Iterable[int]) -> tuple[int, ...]:
+    """A skip set as sorted distinct values; it must be nonempty and
+    every skip at least 1."""
+    ss = tuple(sorted(set(values)))
+    if not ss:
+        raise ValueError("skip set must be nonempty")
+    if ss[0] < 1:
+        raise ValueError(f"skips must be positive, got {ss}")
+    return ss
 
 
 @dataclass(frozen=True)

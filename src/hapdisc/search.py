@@ -10,44 +10,34 @@ skips fenced by even skips, span gcd obstructions, and the sign rules on
 adjacent steps.  These are necessary conditions only; surviving every
 rule does not certify realizability.
 
-The depth-first search enumerates signed extensions, pruning with those
-window rules, with a single incrementally merged start-term congruence
-(one gcd merge per node decides weak realizability of the whole prefix),
-and with term/arc freshness.  Every surviving node is therefore a
-realizable path; cycle candidates additionally need an odd length and a
-zero signed sum.  Among maximum-length candidates the result is the one
-with the least witness start, then lexicographically least signs
-(+ before -), then skips.
+The depth-first search enumerates signed extensions and prunes by
+congruence, freshness and distance only: a single incrementally merged
+start-term congruence (one gcd merge per node decides weak
+realizability of the whole prefix), term/arc freshness, and for cycles
+the distance still to cover back to the start.  It runs none of the
+window rules, which can only cut what these checks cut already (see
+``_search``).  Every surviving node is therefore a realizable path;
+cycle candidates additionally need an odd length and a zero signed sum.
+Among maximum-length candidates the result is the one with the least
+witness start, then lexicographically least signs (+ before -), then
+skips.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numeric import Congruence, crt_merge, two_adic_valuation
-from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern
+from .numeric import Congruence, crt_merge
+from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_skips
 from .realizability import (
     REALIZABLE,
+    _sign_free_divisibility_failure,
+    _span_conditions,
     step_congruence,
     strict_realizability,
     valid_odd_cycle,
-)
-
-RULE_IDS = (
-    "AA",
-    "ABA-div",
-    "ABAB",
-    "GCD-span",
-    "PLUS-PLUS",
-    "CLASS-SIGN",
-    "ODD-BLOCKS",
-    "ABCA",
-    "AABBCC",
-    "NO-PAIRS",
-    "BACABAC",
 )
 
 
@@ -82,96 +72,42 @@ class SearchResult:
         }
 
 
-def _scan_aa(skips):
-    for k in range(len(skips) - 1):
-        if skips[k] == skips[k + 1]:
-            return k, k + 1
-    return None
+def _window(width: int, match, steps: bool = False):
+    """Scan for the first k whose ``width`` consecutive skips (or signed
+    steps) from k satisfy ``match``; return the span (k, k + width - 1)."""
 
-
-def _scan_aba_div(skips):
-    for k in range(len(skips) - 2):
-        if skips[k] == skips[k + 2] and skips[k + 1] % skips[k]:
-            return k, k + 2
-    return None
-
-
-def _scan_abab(skips):
-    for k in range(len(skips) - 3):
-        if skips[k] == skips[k + 2] and skips[k + 1] == skips[k + 3]:
-            return k, k + 3
-    return None
-
-
-def _scan_abca(skips):
-    for k in range(len(skips) - 3):
-        a, b, c, d = skips[k : k + 4]
-        if a == d and a > b and a > c:
-            return k, k + 3
-    return None
-
-
-def _pairs_window(skips, k, width):
-    window = skips[k : k + width]
-    counts = Counter(window)
-    return len(counts) == width // 2 and all(c == 2 for c in counts.values())
-
-
-def _scan_aabbcc(skips):
-    for k in range(len(skips) - 5):
-        if _pairs_window(skips, k, 6):
-            return k, k + 5
-    return None
-
-
-def _scan_no_pairs(skips):
-    # Umbrella for one, two or three pairs in a window; the specific
-    # shapes are caught by AA / ABAB / AABBCC first, so this only fires
-    # when those scans are bypassed.
-    for width in (2, 4, 6):
-        for k in range(len(skips) - width + 1):
-            if _pairs_window(skips, k, width):
+    def scan(p):
+        seq = p.steps if steps else p.skips
+        for k in range(len(seq) - width + 1):
+            if match(*seq[k : k + width]):
                 return k, k + width - 1
+        return None
+
+    return scan
+
+
+def _odd_blocks(p):
+    """Two consecutive even skips fencing an odd number of odd skips."""
+    evens = [k for k, s in enumerate(p.skips) if s % 2 == 0]
+    for i, j in zip(evens, evens[1:]):
+        if (j - i - 1) % 2:
+            return i, j
     return None
 
 
-def _scan_bacabac(skips):
-    for k in range(len(skips) - 6):
-        w = skips[k : k + 7]
-        if (
-            w[0] == w[4]
-            and w[1] == w[3] == w[5]
-            and w[2] == w[6]
-            and len({w[0], w[1], w[2]}) == 3
-        ):
-            return k, k + 6
-    return None
+def _adjacent_parity(same_sign: bool):
+    """Adjacent steps failing the parity condition, with agreeing signs
+    (PLUS-PLUS) or opposite ones (CLASS-SIGN)."""
+
+    def match(x: tuple[int, int], y: tuple[int, int]) -> bool:
+        (s1, a), (s2, b) = x, y
+        return (s1 == s2) == same_sign and not _span_conditions(a, s1, 0, b, s2)[1]
+
+    return _window(2, match, steps=True)
 
 
-def _scan_odd_blocks(skips):
-    even_positions = [k for k, s in enumerate(skips) if s % 2 == 0]
-    for p, q in zip(even_positions, even_positions[1:]):
-        if (q - p - 1) % 2:
-            return p, q
-    return None
-
-
-def _scan_gcd_span_unsigned(skips):
-    n = len(skips)
-    for i in range(n):
-        for j in range(i + 2, n):
-            g = math.gcd(skips[i], skips[j])
-            reachable = {0}
-            for x in skips[i + 1 : j]:
-                reachable = {(r + x) % g for r in reachable} | {
-                    (r - x) % g for r in reachable
-                }
-            if 0 not in reachable:
-                return i, j
-    return None
-
-
-def _scan_gcd_span_signed(steps):
+def _gcd_span_signed(p):
+    steps = p.steps
     n = len(steps)
     for i in range(n):
         inner = 0
@@ -182,101 +118,57 @@ def _scan_gcd_span_signed(steps):
     return None
 
 
-def _scan_plus_plus(steps):
-    for k in range(len(steps) - 1):
-        (s1, a), (s2, b) = steps[k], steps[k + 1]
-        if s1 != s2:
-            continue
-        va, vb = two_adic_valuation(a), two_adic_valuation(b)
-        if (s1 == 1 and va <= vb) or (s1 == -1 and va >= vb):
-            return k, k + 1
-    return None
+def _gcd_span_unsigned(p):
+    failure = _sign_free_divisibility_failure(p)
+    return None if failure is None else (failure.i, failure.j)
 
 
-def _scan_class_sign(steps):
-    for k in range(len(steps) - 1):
-        (s1, a), (s2, b) = steps[k], steps[k + 1]
-        if s1 == 1 and s2 == -1 and two_adic_valuation(a) != two_adic_valuation(b):
-            return k, k + 1
-    return None
+def _three_pairs(*w: int) -> bool:
+    return len(set(w)) == 3 and all(w.count(x) == 2 for x in w)
+
+
+def _bacabac(b: int, a: int, c: int, a2: int, b2: int, a3: int, c2: int) -> bool:
+    return b == b2 and a == a2 == a3 and c == c2 and len({a, b, c}) == 3
+
+
+_ANY = (Pattern, SignedPattern)
+
+# Every rule once, in report order: (rule id, patterns it applies to,
+# scan).  Each scan returns the span of its first match by ascending k.
+_RULES = (
+    ("AA", _ANY, _window(2, lambda a, b: a == b)),
+    ("ABAB", _ANY, _window(4, lambda a, b, c, d: a == c and b == d)),
+    ("ABA-div", _ANY, _window(3, lambda a, b, c: a == c and b % a)),
+    ("ABCA", _ANY, _window(4, lambda a, b, c, d: a == d and a > b and a > c)),
+    ("AABBCC", _ANY, _window(6, _three_pairs)),
+    ("BACABAC", _ANY, _window(7, _bacabac)),
+    ("ODD-BLOCKS", _ANY, _odd_blocks),
+    ("PLUS-PLUS", SignedPattern, _adjacent_parity(same_sign=True)),
+    ("CLASS-SIGN", SignedPattern, _adjacent_parity(same_sign=False)),
+    ("GCD-span", SignedPattern, _gcd_span_signed),
+    ("GCD-span", Pattern, _gcd_span_unsigned),
+)
 
 
 def rule_scan(p: AnyPattern) -> RuleVerdict:
     """First forbidden-shape match, or a clean verdict.
 
-    Unsigned scans run on any input; the sign rules and the exact span
-    sums need a signed pattern.  Rules are checked in a fixed order with
+    The shape rules run on any input; the sign rules and the exact span
+    sums need a signed pattern.  Rules are checked in table order with
     the cheap local shapes first, so overlapping matches report the most
     specific rule (for example an odd inner block of odd skips is also a
     gcd-span obstruction, but reports as ODD-BLOCKS).
     """
-    skips = p.skips if isinstance(p, SignedPattern) else p.skips
-    checks: list[tuple[str, object]] = [
-        ("AA", _scan_aa(skips)),
-        ("ABAB", _scan_abab(skips)),
-        ("ABA-div", _scan_aba_div(skips)),
-        ("ABCA", _scan_abca(skips)),
-        ("AABBCC", _scan_aabbcc(skips)),
-        ("NO-PAIRS", _scan_no_pairs(skips)),
-        ("BACABAC", _scan_bacabac(skips)),
-        ("ODD-BLOCKS", _scan_odd_blocks(skips)),
-    ]
-    if isinstance(p, SignedPattern):
-        checks.append(("PLUS-PLUS", _scan_plus_plus(p.steps)))
-        checks.append(("CLASS-SIGN", _scan_class_sign(p.steps)))
-        checks.append(("GCD-span", _scan_gcd_span_signed(p.steps)))
-    else:
-        checks.append(("GCD-span", _scan_gcd_span_unsigned(skips)))
-    for rule_id, hit in checks:
-        if hit is not None:
-            return RuleVerdict(True, rule_id, hit)  # type: ignore[arg-type]
+    for rule_id, applies_to, scan in _RULES:
+        if isinstance(p, applies_to):
+            span = scan(p)
+            if span is not None:
+                return RuleVerdict(True, rule_id, span)
     return RuleVerdict(False)
 
 
-def _suffix_forbidden(skips: list[int], a: int) -> bool:
-    """Window rules restricted to windows ending at the next step.
-
-    Used as a cheap pre-filter in the search before the congruence merge;
-    anything cut here is cut by the merge or the freshness checks too.
-    """
-    n = len(skips)
-    if n >= 1 and skips[-1] == a:
-        return True
-    if n >= 2 and skips[-2] == a and skips[-1] % a:
-        return True
-    if n >= 3 and skips[-3] == skips[-1] and skips[-2] == a:
-        return True
-    if n >= 3 and skips[-3] == a and a > skips[-2] and a > skips[-1]:
-        return True
-    if n >= 5:
-        counts = Counter(skips[-5:])
-        counts[a] += 1
-        if len(counts) == 3 and all(c == 2 for c in counts.values()):
-            return True
-    if n >= 6:
-        w = skips[-6:] + [a]
-        if (
-            w[0] == w[4]
-            and w[1] == w[3] == w[5]
-            and w[2] == w[6]
-            and len({w[0], w[1], w[2]}) == 3
-        ):
-            return True
-    if a % 2 == 0:
-        run = 0
-        for s in reversed(skips):
-            if s % 2 == 0:
-                if run % 2:
-                    return True
-                break
-            run += 1
-    return False
-
-
 def _search(skips: Iterable[int], max_len: int, cycles: bool):
-    skip_list = sorted(set(skips))
-    if not skip_list or skip_list[0] < 1:
-        raise ValueError(f"skips must be positive, got {skip_list}")
+    skip_list = sorted_skips(skips)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     max_skip = skip_list[-1]
@@ -284,7 +176,6 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     best: list[tuple | None] = [None]
     truncated = [False]
     steps: list[tuple[int, int]] = []
-    unsigned: list[int] = []
     prefix: list[int] = [0]
     seen = {0}
     arcs: set[tuple[int, int]] = set()
@@ -310,8 +201,17 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
             for sign in (1, -1):
                 if cycles and depth == 0 and sign == -1:
                     continue  # a least-start cycle leaves its minimum upward
-                if steps and _suffix_forbidden(unsigned, a):
-                    continue
+                # No window rule runs here.  Every node is a strictly
+                # realizable prefix (one merge, no repeated term or arc),
+                # and the rules are necessary conditions for that.  On the
+                # step that closes a cycle, a window narrower than the
+                # cycle is a proper subpath; ODD-BLOCKS counts parities,
+                # so it holds on closed walks too.  The windows as wide as
+                # an odd cycle are ABA-div on three steps, which no
+                # zero-sum [a b a] fires (it needs b = 2a), and BACABAC on
+                # seven, which shapes no valid cycle (all 17 540 zero-sum
+                # signings with distinct skips up to 30 fail
+                # valid_odd_cycle).
                 new_sum = base + sign * a
                 if cycles and new_sum < 0:
                     continue  # rotations from the minimum vertex suffice
@@ -333,7 +233,6 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 if merged is None:
                     continue
                 steps.append((sign, a))
-                unsigned.append(a)
                 prefix.append(new_sum)
                 seen.add(new_sum)
                 arc = (min(base, new_sum), a)
@@ -344,7 +243,6 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 arcs.discard(arc)
                 seen.discard(new_sum)
                 prefix.pop()
-                unsigned.pop()
                 steps.pop()
 
     recurse(Congruence(0, 1))

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .pattern import SignedPattern, realize
+from .pattern import SignedPattern, realize, sorted_skips
 from .realizability import valid_odd_cycle
 
 DEFAULT_PERIOD_CAP = 1 << 24
@@ -67,11 +67,7 @@ class SkipGraph:
 
 
 def build_graph(skips: Iterable[int], cap: int = DEFAULT_PERIOD_CAP) -> SkipGraph:
-    ss = tuple(sorted(set(skips)))
-    if not ss:
-        raise ValueError("skip set must be nonempty")
-    if any(s < 1 for s in ss):
-        raise ValueError(f"skips must be positive, got {ss}")
+    ss = sorted_skips(skips)
     lcm = math.lcm(*ss)
     period = 2 * lcm
     if period > cap:
@@ -212,9 +208,7 @@ def verify_discrepancy(coloring: Coloring, skips: Iterable[int], horizon: int) -
     index 1..horizon; the two rangings are mirror images, so position i
     reads the color of vertex -i mod period.
     """
-    ss = tuple(sorted(set(skips)))
-    if not ss or any(s < 1 for s in ss):
-        raise ValueError(f"skips must be positive, got {ss}")
+    ss = sorted_skips(skips)
     if horizon < max(ss):
         raise ValueError(f"horizon {horizon} is below max skip {max(ss)}")
     period = coloring.period

@@ -110,6 +110,12 @@ def test_max_period_flag(capsys):
     assert "24" in err
 
 
+def test_max_period_zero_is_a_cap(capsys):
+    code, _, err = run(capsys, "color", "-s", "2,3,4", "--max-period", "0")
+    assert code == 2
+    assert "exceeds the cap 0" in err
+
+
 def test_max_period_env(capsys, monkeypatch):
     monkeypatch.setenv("HAPDISC_MAX_PERIOD", "10")
     code, _, err = run(capsys, "color", "-s", "2,3,4")
@@ -160,10 +166,15 @@ def test_verify_detects_bad_coloring(capsys, tmp_path):
     assert data["max_discrepancy"] >= 2
 
 
-def test_color_erdos_certificate_is_mirrored(capsys):
-    code, data = run_json(capsys, "color", "-s", "1,2,3", "--erdos-indexing")
-    assert code == 1
-    cert = data["odd_cycle"]
+@pytest.mark.parametrize(
+    "verb,key,exit_code",
+    [("color", "odd_cycle", 1), ("cycle", "certificate", 0)],
+    ids=["color", "cycle"],
+)
+def test_color_erdos_certificate_is_mirrored(capsys, verb, key, exit_code):
+    code, data = run_json(capsys, verb, "-s", "1,2,3", "--erdos-indexing")
+    assert code == exit_code
+    cert = data[key]
     assert cert["start"] == 12
     assert cert["signs"] == [-1, -1, 1]
 

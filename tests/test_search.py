@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -5,40 +6,41 @@ import pytest
 
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
 from hapdisc.realizability import strict_realizability, valid_odd_cycle
-from hapdisc.search import longest_odd_cycle, longest_path, rule_scan
+from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
 
 
-@pytest.mark.parametrize(
-    "text,rule_id",
-    [
-        ("[7 7]", "AA"),
-        ("[3 5 3 5]", "ABAB"),
-        ("[3 5 3]", "ABA-div"),
-        ("[5 2 3 5]", "ABCA"),
-        ("[2 3 1 2 1 3]", "AABBCC"),
-        ("[3 1 5 1 3 1 5]", "BACABAC"),
-        ("[2 1 3 1 4]", "ODD-BLOCKS"),
-        ("[5 1 10]", "GCD-span"),
-    ],
-)
-def test_rule_scan_fires(text, rule_id):
-    verdict = rule_scan(parse_pattern(text))
-    assert verdict.forbidden
-    assert verdict.rule_id == rule_id
+FIRES = [
+    ("[7 7]", "AA", (0, 1)),
+    ("[3 5 3 5]", "ABAB", (0, 3)),
+    ("[3 5 3]", "ABA-div", (0, 2)),
+    ("[5 2 3 5]", "ABCA", (0, 3)),
+    ("[2 3 1 2 1 3]", "AABBCC", (0, 5)),
+    ("[3 1 5 1 3 1 5]", "BACABAC", (0, 6)),
+    ("[2 1 3 1 4]", "ODD-BLOCKS", (0, 4)),
+    ("[5 1 10]", "GCD-span", (0, 2)),
+    # rules are scanned one after another, so a later AA beats an earlier ABAB
+    ("[3 5 3 5 1 1]", "AA", (4, 5)),
+]
+
+SIGN_RULES = [
+    ("[+3 +5]", "PLUS-PLUS", (0, 1)),
+    ("[-12 -6]", "PLUS-PLUS", (0, 1)),
+    ("[+4 -3]", "CLASS-SIGN", (0, 1)),
+]
 
 
-@pytest.mark.parametrize(
-    "text,rule_id",
-    [
-        ("[+3 +5]", "PLUS-PLUS"),
-        ("[-12 -6]", "PLUS-PLUS"),
-        ("[+4 -3]", "CLASS-SIGN"),
-    ],
-)
-def test_rule_scan_sign_rules(text, rule_id):
-    verdict = rule_scan(parse_pattern(text))
-    assert verdict.forbidden
-    assert verdict.rule_id == rule_id
+def _ids(rows):
+    return [f"{text}-{rule_id}" for text, rule_id, _ in rows]
+
+
+@pytest.mark.parametrize("text,rule_id,span", FIRES, ids=_ids(FIRES))
+def test_rule_scan_fires(text, rule_id, span):
+    assert rule_scan(parse_pattern(text)) == RuleVerdict(True, rule_id, span)
+
+
+@pytest.mark.parametrize("text,rule_id,span", SIGN_RULES, ids=_ids(SIGN_RULES))
+def test_rule_scan_sign_rules(text, rule_id, span):
+    assert rule_scan(parse_pattern(text)) == RuleVerdict(True, rule_id, span)
 
 
 @pytest.mark.parametrize(
@@ -138,13 +140,15 @@ def test_lower_bound_flag():
     assert not full.lower_bound
 
 
-def test_four_set_cycle_bound_sample():
-    # no reduced 4-set here yields an odd cycle longer than 7
-    import math
-
+def _four_set_sample():
     rng = random.Random(3)
     sets = [s for s in combinations(range(1, 13), 4) if math.gcd(*s) == 1]
-    for s in rng.sample(sets, 60):
+    return rng.sample(sets, 60)
+
+
+def test_four_set_cycle_bound_sample():
+    # no reduced 4-set here yields an odd cycle longer than 7
+    for s in _four_set_sample():
         result = longest_odd_cycle(s, 9)
         if result is not None:
             assert result.length <= 7, s
@@ -163,3 +167,15 @@ def test_forcing_three_sets_only_have_triangles():
     for s in ([1, 2, 3], [2, 3, 5], [1, 4, 5], [3, 4, 7]):
         result = longest_odd_cycle(s, 9)
         assert result is not None and result.length == 3, s
+
+
+def test_search_results_pass_rule_scan():
+    # The DFS runs no window rule, so a rule that rejects one of the
+    # results above is unsound.
+    paths = [([1, 3], 9), ([1, 5, 7], 9), ([3], 9), ([1, 4, 5], 10), ([1, 5, 7], 3)]
+    cycles = [[1, 2, 3], [1, 3, 5, 8], [1, 2, 3, 5], [2, 3, 5], [1, 4, 5], [3, 4, 7]]
+    results = [longest_path(s, max_len) for s, max_len in paths]
+    results += [longest_odd_cycle(s, 9) for s in cycles + _four_set_sample()]
+    for result in filter(None, results):
+        for p in (result.signed, result.pattern):
+            assert not rule_scan(p).forbidden, (result, rule_scan(p))
