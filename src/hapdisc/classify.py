@@ -47,7 +47,7 @@ class UnsupportedSizeError(ValueError):
     def __init__(self, size: int):
         super().__init__(
             f"closed-form classification covers sizes 1-4, got {size}; "
-            "use the skip-graph search (two_color / find_odd_cycle) instead"
+            "use the skip-graph block solver (solve_block / hapdisc color) instead"
         )
         self.size = size
 

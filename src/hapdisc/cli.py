@@ -36,8 +36,7 @@ from .skipgraph import (
     OddCycleCertificate,
     PeriodCapExceeded,
     build_graph,
-    find_odd_cycle,
-    two_color,
+    solve_block,
     verify_discrepancy,
 )
 
@@ -115,24 +114,22 @@ def _cmd_classify(args) -> int:
 
 def _cmd_color(args) -> int:
     g = build_graph(_parse_int_list(args.skips, "skip set"), _period_cap(args))
-    coloring = two_color(g)
-    if coloring is not None:
-        line = _mirrored(args, g.period, coloring).line()
+    found = _mirrored(args, g.period, solve_block(g))
+    if isinstance(found, Coloring):
+        line = found.line()
         _emit(args, {"period": g.period, "coloring": line}, line)
         return 0
-    cert = find_odd_cycle(g)
-    assert cert is not None
-    _emit_cycle(args, "odd_cycle", _mirrored(args, g.period, cert))
+    _emit_cycle(args, "odd_cycle", found)
     return 1
 
 
 def _cmd_cycle(args) -> int:
     g = build_graph(_parse_int_list(args.skips, "skip set"), _period_cap(args))
-    cert = find_odd_cycle(g)
-    if cert is None:
+    found = _mirrored(args, g.period, solve_block(g))
+    if isinstance(found, Coloring):
         _emit(args, {"certificate": None}, "none")
         return 0
-    _emit_cycle(args, "certificate", _mirrored(args, g.period, cert))
+    _emit_cycle(args, "certificate", found)
     return 0
 
 

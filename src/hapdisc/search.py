@@ -181,6 +181,8 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     arcs: set[tuple[int, int]] = set()
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
+        if best[0] is not None and length < -best[0][0]:
+            return  # shorter than the best: its tie-break key cannot matter
         all_steps = steps + [closing] if closing else steps
         key = (
             -length,

@@ -5,7 +5,8 @@ multiple, so the progression s, 2s, 3s, ... is paired off as (s, 2s),
 (3s, 4s), ...  mirrored to start at 0.  The structure repeats with period
 2*lcm(S) and every edge stays inside one block, so a single block decides
 everything: either it 2-colors (discrepancy 1 is achievable) or it holds
-an odd cycle (the skip set forces discrepancy two).
+an odd cycle (the skip set forces discrepancy two).  One BFS over the
+block, ``solve_block``, returns whichever of the two certificates exists.
 
 Adjacency is computed on demand from divisibility, never materialized;
 a vertex that is a multiple of s has exactly one s-arc on each side
@@ -15,7 +16,6 @@ pattern, so degrees are at most |S|.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -107,28 +107,20 @@ class OddCycleCertificate:
         return realize(self.signed_pattern, self.start).to_json_dict()
 
 
-def _bfs_color(
-    g: SkipGraph, track_parents: bool
-) -> tuple[bytearray, tuple[int, int] | None, list[int] | None]:
-    """Two-color by BFS; colors are 1/2, 0 means unvisited.
-
-    Returns (colors, conflict_edge, parents).  A conflict edge joins two
-    vertices of the same color and witnesses an odd cycle.
-    """
+def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
+    """Decide one block with a single BFS: a 2-coloring, or an odd cycle
+    built from the first edge that joins two vertices of one color."""
     period = g.period
     skips = g.skips
-    color = bytearray(period)
-    parent: list[int] | None = [-1] * period if track_parents else None
-    queue: deque[int] = deque()
+    color = bytearray(period)  # 1/2 for the two classes, 0 means unvisited
     for root in range(period):
         if color[root]:
             continue
         color[root] = 1  # isolated vertices stay +1 by convention
         if not any(root % s == 0 for s in skips):
             continue
-        queue.append(root)
-        while queue:
-            v = queue.popleft()
+        order = [root]  # the BFS queue, kept whole: it stands in for parents
+        for v in order:
             cv = color[v]
             for s in skips:
                 q, r = divmod(v, s)
@@ -137,29 +129,18 @@ def _bfs_color(
                 u = v + s if q % 2 == 0 else v - s
                 if color[u] == 0:
                     color[u] = 3 - cv
-                    if parent is not None:
-                        parent[u] = v
-                    queue.append(u)
+                    order.append(u)
                 elif color[u] == cv:
-                    return color, (v, u), parent
-    return color, None, parent
+                    return _odd_cycle(g, order, v, u)
+    values = np.frombuffer(color, dtype=np.int8).copy()
+    values[values == 2] = -1
+    return Coloring(period, values)
 
 
 def two_color(g: SkipGraph) -> Coloring | None:
     """Bipartition of one block, or None when an odd cycle exists."""
-    color, conflict, _ = _bfs_color(g, track_parents=False)
-    if conflict is not None:
-        return None
-    values = np.frombuffer(bytes(color), dtype=np.int8).copy()
-    values[values == 2] = -1
-    return Coloring(g.period, values)
-
-
-def _chain_to_root(v: int, parent: list[int]) -> list[int]:
-    chain = [v]
-    while parent[chain[-1]] != -1:
-        chain.append(parent[chain[-1]])
-    return chain
+    found = solve_block(g)
+    return found if isinstance(found, Coloring) else None
 
 
 def _canonical_cycle(vertices: list[int]) -> tuple[SignedPattern, int]:
@@ -178,20 +159,25 @@ def _canonical_cycle(vertices: list[int]) -> tuple[SignedPattern, int]:
     return candidates[0][2], rot[0]
 
 
-def find_odd_cycle(g: SkipGraph) -> OddCycleCertificate | None:
-    """Extract an odd cycle from the BFS conflict edge plus tree paths."""
-    _, conflict, parent = _bfs_color(g, track_parents=True)
-    if conflict is None:
-        return None
-    assert parent is not None
-    v, u = conflict
-    chain_v = _chain_to_root(v, parent)
-    in_chain_v = {x: k for k, x in enumerate(chain_v)}
-    chain_u = [u]
-    while chain_u[-1] not in in_chain_v:
-        chain_u.append(parent[chain_u[-1]])
-    lca_idx = in_chain_v[chain_u[-1]]
-    vertices = chain_v[: lca_idx + 1] + chain_u[:-1][::-1]
+def _odd_cycle(g: SkipGraph, order: list[int], v: int, u: int) -> OddCycleCertificate:
+    """The odd cycle closed by the conflict edge (v, u) through the BFS tree.
+
+    The tree parent of a non-root x is its neighbour earliest in ``order``:
+    that neighbour was dequeued first, and x was still uncolored then.
+    """
+    pos = {x: k for k, x in enumerate(order)}
+
+    def parent(x: int) -> int:
+        return order[min(pos[w] for w in g.neighbors(x) if w in pos)]
+
+    # Climb from the later of the two ends until both paths meet.
+    path_v, path_u = [v], [u]
+    while path_v[-1] != path_u[-1]:
+        if pos[path_v[-1]] > pos[path_u[-1]]:
+            path_v.append(parent(path_v[-1]))
+        else:
+            path_u.append(parent(path_u[-1]))
+    vertices = path_v + path_u[:-1][::-1]
     assert len(vertices) % 2 == 1 and len(set(vertices)) == len(vertices)
     sp, start = _canonical_cycle(vertices)
     assert all(skip in g.skips for skip in sp.skips)
@@ -199,6 +185,12 @@ def find_odd_cycle(g: SkipGraph) -> OddCycleCertificate | None:
     if not verdict.valid:
         raise RuntimeError(f"extracted cycle failed validation: {sp.steps}")
     return OddCycleCertificate(sp, start)
+
+
+def find_odd_cycle(g: SkipGraph) -> OddCycleCertificate | None:
+    """An odd cycle of one block, or None when the block 2-colors."""
+    found = solve_block(g)
+    return found if isinstance(found, OddCycleCertificate) else None
 
 
 def verify_discrepancy(coloring: Coloring, skips: Iterable[int], horizon: int) -> int:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hapdisc.cli
 from hapdisc.cli import main
 
 
@@ -93,6 +94,24 @@ def test_color_forcing_prints_certificate(capsys):
     assert code == 1
     assert data["odd_cycle"]["start"] == 0
     assert data["odd_cycle"]["skips"] == [2, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "verb,skips,exit_code",
+    [("color", "1,2,3", 1), ("color", "2,3,4", 0), ("cycle", "1,2,3", 0), ("cycle", "2,3,4", 0)],
+)
+def test_one_block_pass_per_verb(capsys, monkeypatch, verb, skips, exit_code):
+    calls = []
+    solve = hapdisc.cli.solve_block
+
+    def counted(g):
+        calls.append(g.period)
+        return solve(g)
+
+    monkeypatch.setattr(hapdisc.cli, "solve_block", counted)
+    code, _, _ = run(capsys, verb, "-s", skips)
+    assert code == exit_code
+    assert len(calls) == 1
 
 
 def test_cycle_verb_exit_zero_either_way(capsys):

@@ -11,6 +11,7 @@ from hapdisc.skipgraph import (
     PeriodCapExceeded,
     build_graph,
     find_odd_cycle,
+    solve_block,
     two_color,
     verify_discrepancy,
 )
@@ -85,6 +86,23 @@ def test_find_odd_cycle_seven():
     assert valid_odd_cycle(cert.signed_pattern).valid
 
 
+@pytest.mark.parametrize(
+    "skips, pattern, start",
+    [
+        ((1, 2, 4, 21, 22, 29), "[+4 +2 +29 -1 -2 +4 +2 -22 +4 +2 +1 -21 -2]", 28936),
+        ((3, 9, 12, 18, 28, 39), "[+18 +9 -3 +12 +18 +9 -3 -12 +3 -39 -12]", 144),
+        ((1, 2, 17, 26, 30, 39), "[+26 -2 +30 -2 +1 -17 +2 +1 -39]", 8736),
+        ((1, 3, 5, 22, 31), "[+3 -1 +5 -1 +3 -1 +22 +1 -31]", 1488),
+    ],
+)
+def test_find_odd_cycle_pinned_certificates(skips, pattern, start):
+    # long tree paths on both sides of the conflict edge
+    cert = find_odd_cycle(build_graph(skips))
+    assert cert is not None
+    assert format_pattern(cert.signed_pattern) == pattern
+    assert cert.start == start
+
+
 def test_find_odd_cycle_none_for_two_skips():
     assert find_odd_cycle(build_graph([1, 3])) is None
 
@@ -98,6 +116,12 @@ def test_exactly_one_of_color_and_cycle_succeeds():
         coloring = two_color(g)
         cert = find_odd_cycle(g)
         assert (coloring is None) != (cert is None)
+        found = solve_block(g)
+        if coloring is not None:
+            assert isinstance(found, Coloring)
+            assert np.array_equal(found.values, coloring.values)
+        else:
+            assert found == cert
         if coloring is not None:
             assert coloring_is_proper(coloring, g)
         else:
