@@ -261,8 +261,6 @@ def classify(s: SkipSetLike) -> Classification:
     else:
         base = classify_size4(reduced)
     if not base.forces or factor == 1:
-        if factor != 1 and base.labeling:
-            base.labeling = {k: v * factor for k, v in base.labeling.items()}
         return base
     labeling = {k: v * factor for k, v in (base.labeling or {}).items()}
     assert base.predicted_cycle is not None

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .classify import UnsupportedSizeError, classify
+from .classify import classify
 from .pattern import (
     Pattern,
     SignedPattern,
@@ -34,7 +34,6 @@ from .skipgraph import (
     DEFAULT_PERIOD_CAP,
     Coloring,
     OddCycleCertificate,
-    PeriodCapExceeded,
     build_graph,
     solve_block,
     verify_discrepancy,
@@ -325,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, PeriodCapExceeded, UnsupportedSizeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -195,10 +195,6 @@ class Realization:
     def is_closed(self) -> bool:
         return self.terms[0] == self.terms[-1]
 
-    @property
-    def has_negative_terms(self) -> bool:
-        return any(t < 0 for t in self.terms)
-
     def repeated_terms(self, as_cycle: bool = False) -> tuple[int, ...]:
         """Term values visited more than once.
 
@@ -215,14 +211,15 @@ class Realization:
         counts = Counter(self.arcs)
         return tuple(sorted(a for a, c in counts.items() if c > 1))
 
-    def is_strict(self, as_cycle: bool = False) -> bool:
-        """True when the walk is parity-valid and repeats no term or arc."""
-        return (
-            not self.parity_violations
-            and not self.has_negative_terms
-            and not self.repeated_terms(as_cycle=as_cycle)
-            and not self.repeated_arcs()
-        )
+    def is_strict(self) -> bool:
+        """True when the walk is parity-valid and repeats no term or arc.
+
+        Checking terms suffices: arcs join consecutive terms, so distinct
+        terms give distinct arcs.  Nor can a parity-valid walk go
+        negative: it starts at 0 or above, and a valid down step leaves
+        an odd multiple (2q+1)a >= a, landing at 0 or above.
+        """
+        return not self.parity_violations and not self.repeated_terms()
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,8 +15,9 @@ Equivalently, the start term T must solve one congruence per step (step
 k leaves from an even multiple of a_k when positive, an odd multiple when
 negative), a system decided by the non-coprime congruence solver.  The
 least nonnegative solution is reported as the witness start.  Strict
-realizability additionally demands that the walk repeat no term or arc,
-which depends only on the pattern, not on the chosen start.
+realizability additionally demands that the walk repeat no term or arc
+(an arc repeat implies a term repeat, so only terms are checked), which
+depends only on the pattern, not on the chosen start.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _strict_from_weak(verdict: RealizabilityVerdict) -> RealizabilityVerdict:
     sp = verdict.signed
     assert sp is not None and verdict.witness_start is not None
     walk = realize(sp, verdict.witness_start)
-    if walk.is_strict(as_cycle=False):
+    if walk.is_strict():
         return replace(verdict, status=REALIZABLE)
     return verdict
 
@@ -239,7 +240,8 @@ def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
     """Three-way verdict: forbidden, weakly realizable only, or realizable.
 
     A signed pattern is checked at its least witness start; term and arc
-    coincidences are start-independent, so one witness decides.  An
+    coincidences are start-independent, so one witness decides (an arc
+    repeat implies a term repeat, so terms alone are compared).  An
     unsigned pattern is realizable when some sign assignment is, with the
     lexicographically least qualifying assignment reported.
     """
@@ -271,7 +273,9 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
 
     Valid means: odd length, signed sum zero, weakly realizable, and the
     closed walk repeats no arc and no term other than its final return to
-    the start.
+    the start.  An arc repeat implies a term repeat here: an odd cycle has
+    at least three steps, and on three or more distinct terms t0..tn-1 the
+    arcs {tk, tk+1 mod n} are distinct.
     """
     total = sp.signed_sum
     if len(sp) % 2 == 0:
@@ -286,8 +290,6 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
     walk = realize(sp, start)
     if walk.repeated_terms(as_cycle=True):
         return CycleVerdict(False, total, witness_start=start, reason="repeated-term")
-    if walk.repeated_arcs():
-        return CycleVerdict(False, total, witness_start=start, reason="repeated-arc")
     return CycleVerdict(True, total, witness_start=start)
 
 

@@ -13,7 +13,7 @@ rule does not certify realizability.
 The depth-first search enumerates signed extensions and prunes by
 congruence, freshness and distance only: a single incrementally merged
 start-term congruence (one gcd merge per node decides weak
-realizability of the whole prefix), term/arc freshness, and for cycles
+realizability of the whole prefix), term freshness, and for cycles
 the distance still to cover back to the start.  It runs none of the
 window rules, which can only cut what these checks cut already (see
 ``_search``).  Every surviving node is therefore a realizable path;
@@ -173,15 +173,14 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
         raise ValueError(f"max_len must be positive, got {max_len}")
     max_skip = skip_list[-1]
 
-    best: list[tuple | None] = [None]
-    truncated = [False]
+    best: tuple | None = None
+    truncated = False
     steps: list[tuple[int, int]] = []
-    prefix: list[int] = [0]
     seen = {0}
-    arcs: set[tuple[int, int]] = set()
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
-        if best[0] is not None and length < -best[0][0]:
+        nonlocal best
+        if best is not None and length < -best[0]:
             return  # shorter than the best: its tie-break key cannot matter
         all_steps = steps + [closing] if closing else steps
         key = (
@@ -190,19 +189,17 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
             tuple((1 - s) // 2 for s, _ in all_steps),
             tuple(a for _, a in all_steps),
         )
-        if best[0] is None or key < best[0]:
-            best[0] = key + (tuple(all_steps),)
+        if best is None or key < best:
+            best = key + (tuple(all_steps),)
 
-    def recurse(acc: Congruence) -> None:
+    def recurse(base: int, acc: Congruence) -> None:
+        nonlocal truncated
         depth = len(steps)
         if depth == max_len:
-            truncated[0] = True
+            truncated = True
             return
-        base = prefix[-1]
         for a in skip_list:
             for sign in (1, -1):
-                if cycles and depth == 0 and sign == -1:
-                    continue  # a least-start cycle leaves its minimum upward
                 # No window rule runs here.  Every node is a strictly
                 # realizable prefix (one merge, no repeated term or arc),
                 # and the rules are necessary conditions for that.  On the
@@ -217,41 +214,34 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 new_sum = base + sign * a
                 if cycles and new_sum < 0:
                     continue  # rotations from the minimum vertex suffice
-                if new_sum in seen:
-                    if (
-                        cycles
-                        and new_sum == 0
-                        and depth >= 2
-                        and (depth + 1) % 2 == 1
-                        and (min(base, 0), a) not in arcs
-                    ):
-                        merged = crt_merge(acc, step_congruence(sign, a, base))
-                        if merged is not None:
-                            consider(depth + 1, merged.residue, (sign, a))
-                    continue
-                if cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
+                closes = new_sum in seen
+                if closes:
+                    # ``seen`` keeps every term fresh, so no arc repeats:
+                    # the closing arc {base, 0} could only retrace the
+                    # first arc, and that needs depth 1.
+                    if not (cycles and new_sum == 0 and depth >= 2 and depth % 2 == 0):
+                        continue
+                elif cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
                     continue
                 merged = crt_merge(acc, step_congruence(sign, a, base))
                 if merged is None:
                     continue
+                if closes:
+                    consider(depth + 1, merged.residue, (sign, a))
+                    continue
                 steps.append((sign, a))
-                prefix.append(new_sum)
                 seen.add(new_sum)
-                arc = (min(base, new_sum), a)
-                arcs.add(arc)
                 if not cycles:
                     consider(depth + 1, merged.residue, None)
-                recurse(merged)
-                arcs.discard(arc)
+                recurse(new_sum, merged)
                 seen.discard(new_sum)
-                prefix.pop()
                 steps.pop()
 
-    recurse(Congruence(0, 1))
-    if best[0] is None:
-        return None, truncated[0]
-    neg_len, start, _, _, found = best[0]
-    return (SignedPattern(found), -neg_len, start), truncated[0]
+    recurse(0, Congruence(0, 1))
+    if best is None:
+        return None, truncated
+    neg_len, start, _, _, found = best
+    return (SignedPattern(found), -neg_len, start), truncated
 
 
 def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:

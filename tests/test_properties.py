@@ -1,0 +1,103 @@
+"""Property tests of the realizability checks against the brute-force
+oracles.
+
+Skips stay at most 8, so one period of any block graph drawn here is at
+most 2 * lcm(1..8) = 1680 terms and every period scan stays cheap.  The
+oracles below check arcs as well as terms, as the paper's definition
+reads; the library checks terms alone.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from hapdisc.numeric import Congruence, crt_solve
+from hapdisc.pattern import SignedPattern, parse_pattern, realize
+from hapdisc.realizability import valid_odd_cycle
+from oracles import brute_congruence_solution, least_walk_start, walk_attempt
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+MAX_SKIP = 8
+PERIOD = 2 * math.lcm(*range(1, MAX_SKIP + 1))
+
+steps_st = st.tuples(st.sampled_from((1, -1)), st.integers(1, MAX_SKIP))
+signed_patterns = st.lists(steps_st, min_size=1, max_size=8).map(
+    lambda steps: SignedPattern(tuple(steps))
+)
+
+
+@st.composite
+def zero_sum_odd_patterns(draw) -> SignedPattern:
+    """An even number of parity-valid steps from a random start, closed by
+    one step back to it: zero-sum and odd, and often a valid cycle."""
+    start = draw(st.integers(0, PERIOD - 1))
+    t = start
+    steps = []
+    for _ in range(2 * draw(st.integers(1, 4))):
+        skip = draw(st.sampled_from([a for a in range(1, MAX_SKIP + 1) if t % a == 0]))
+        sign = 1 if t // skip % 2 == 0 else -1
+        steps.append((sign, skip))
+        t += sign * skip
+    assume(1 <= abs(start - t) <= MAX_SKIP)
+    steps.append((1 if start > t else -1, abs(start - t)))
+    return SignedPattern(tuple(steps))
+
+
+def _walk(sp: SignedPattern, start: int) -> tuple[list[int], list[frozenset[int]]]:
+    """The terms of the walk from ``start`` and its arcs as endpoint sets."""
+    terms = [start]
+    for sign, skip in sp.steps:
+        terms.append(terms[-1] + sign * skip)
+    return terms, [frozenset(pair) for pair in zip(terms, terms[1:])]
+
+
+def _distinct(xs: list) -> bool:
+    return len(set(xs)) == len(xs)
+
+
+@PROPERTY
+@given(signed_patterns, st.integers(0, PERIOD))
+def test_is_strict_matches_walk_oracle(sp, t):
+    for start in {t, least_walk_start(sp)} - {None}:
+        terms, arcs = _walk(sp, start)
+        strict = walk_attempt(sp, start) and _distinct(terms) and _distinct(arcs)
+        assert realize(sp, start).is_strict() == strict
+
+
+@PROPERTY
+@given(zero_sum_odd_patterns())
+@example(parse_pattern("[+2 +1 -3]"))
+@example(parse_pattern("[+8 +1 -3 +1 -5 +1 -3]"))
+@example(parse_pattern("[+3 -1 +2 +1 -5]"))
+@example(parse_pattern("[+2 +1 -3 +4 -4]"))
+def test_valid_odd_cycle_matches_walk_oracle(sp):
+    # valid exactly when the least start's closed walk repeats no term
+    # other than its return and no arc
+    start = least_walk_start(sp)
+    verdict = valid_odd_cycle(sp)
+    assert verdict.witness_start == start
+    if start is None:
+        assert not verdict.valid
+    else:
+        terms, arcs = _walk(sp, start)
+        assert terms[-1] == terms[0]
+        assert verdict.valid == (_distinct(terms[:-1]) and _distinct(arcs))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.integers(-100, 100), st.integers(1, 12)), min_size=1, max_size=5
+    )
+)
+def test_crt_solve_matches_brute_force(pairs):
+    solved = crt_solve([Congruence(r, m) for r, m in pairs])
+    expected = brute_congruence_solution(pairs)
+    if expected is None:
+        assert solved is None
+    else:
+        assert solved == Congruence(expected, math.lcm(*(m for _, m in pairs)))

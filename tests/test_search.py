@@ -117,6 +117,43 @@ def test_longest_odd_cycle_rows():
     assert longest_odd_cycle([1, 3], 9) is None
 
 
+FIVE_SET_ROWS = [
+    (
+        "path",
+        [1, 3, 5, 22, 31],
+        10039,
+        "[-1 +3 -1 +5 -1 +31 -1 +3 -1 +22 +3 -1 +5 -1 +3 -1 +31 -3 +1 -5 +1 -3 +1]",
+    ),
+    ("cycle", [1, 3, 5, 22, 31], 1488, "[+3 -1 +5 -1 +3 -1 +22 +1 -31]"),
+    (
+        "path",
+        [1, 2, 9, 35, 37],
+        15963,
+        "[-1 -2 +35 -1 -2 +1 -9 +37 -1 +9 -1 +2 +35 -9 +2 +37 -1 -2 +9 -1 +35"
+        " -1 -2 +37 -1 +2 +35 -1 +2 +37 -1 -2 +35 -1 -2 +9 -1 +37 -9 +2 +35"
+        " -1 +9 -1 +2 +37 -1 -2 +1 -9 +35 -1 -2 +1]",
+    ),
+    ("cycle", [1, 2, 9, 35, 37], 19240, "[+2 +9 -1 +35 -1 +2 +1 -9 -2 +1 -37]"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,skips,start,signed",
+    FIVE_SET_ROWS,
+    ids=[f"{kind}-{'-'.join(map(str, skips))}" for kind, skips, _, _ in FIVE_SET_ROWS],
+)
+def test_five_set_results_pinned(kind, skips, start, signed):
+    # longest_path at its default cap of 64, longest_odd_cycle at 25;
+    # neither search is cut off by its cap
+    if kind == "path":
+        result = longest_path(skips)
+    else:
+        result = longest_odd_cycle(skips, 25)
+    assert format_pattern(result.signed) == signed
+    assert (result.start, result.length) == (start, len(parse_pattern(signed)))
+    assert not result.lower_bound
+
+
 def test_search_results_validate():
     path = longest_path([1, 5, 7], 9)
     assert strict_realizability(path.signed).status == "realizable"
