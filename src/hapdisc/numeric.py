@@ -19,22 +19,6 @@ def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-@dataclass(frozen=True, order=True)
-class TwoClass:
-    """Equivalence class of a positive integer by its number of factors of 2.
-
-    Instances order by valuation, so ``TwoClass.of(4) > TwoClass.of(6)``
-    because 4 carries two factors of 2 and 6 only one.  All odd numbers
-    share the lowest class.
-    """
-
-    valuation: int
-
-    @classmethod
-    def of(cls, n: int) -> "TwoClass":
-        return cls(two_adic_valuation(n))
-
-
 @dataclass(frozen=True)
 class Congruence:
     """x == residue (mod modulus), normalized so 0 <= residue < modulus."""

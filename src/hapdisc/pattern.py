@@ -96,10 +96,6 @@ class SignedPattern:
     def scaled(self, d: int) -> "SignedPattern":
         return SignedPattern(tuple((sign, d * skip) for sign, skip in self.steps))
 
-    def reversed_(self) -> "SignedPattern":
-        """The same walk traced backwards: order and signs both flip."""
-        return SignedPattern(tuple((-sign, skip) for sign, skip in reversed(self.steps)))
-
 
 AnyPattern = Union[Pattern, SignedPattern]
 

@@ -13,8 +13,9 @@ of the skips strictly between them:
 
 Equivalently, the start term T must solve one congruence per step (step
 k leaves from an even multiple of a_k when positive, an odd multiple when
-negative), a system decided by the non-coprime congruence solver.  The
-least nonnegative solution is reported as the witness start.  Strict
+negative).  One signing walk decides every verdict: it merges these
+congruences step by step, trying + then - on an unsigned pattern, and
+reports the least nonnegative solution as the witness start.  Strict
 realizability additionally demands that the walk repeat no term or arc
 (an arc repeat implies a term repeat, so only terms are checked), which
 depends only on the pattern, not on the chosen start.
@@ -23,10 +24,10 @@ depends only on the pattern, not on the chosen start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
-from .numeric import Congruence, crt_merge, crt_solve, two_adic_valuation
+from .numeric import Congruence, crt_merge, two_adic_valuation
 from .pattern import AnyPattern, Pattern, SignedPattern, realize
 
 FORBIDDEN = "forbidden"
@@ -139,78 +140,17 @@ def step_congruence(sign: int, skip: int, offset: int) -> Congruence:
     return Congruence(((1 - sign) // 2) * skip - offset, 2 * skip)
 
 
-def pattern_congruences(sp: SignedPattern) -> list[Congruence]:
-    out = []
-    offset = 0
-    for sign, skip in sp.steps:
-        out.append(step_congruence(sign, skip, offset))
-        offset += sign * skip
-    return out
-
-
-def _first_failing_subpath(sp: SignedPattern) -> SubpathReport | None:
-    n = len(sp)
-    for i in range(n):
-        for j in range(i + 1, n):
-            report = check_subpath(sp, i, j)
-            if not report.ok:
-                return report
-    return None
-
-
-def weakly_realizable(sp: SignedPattern) -> RealizabilityVerdict:
-    """Decide weak realizability and produce the least witness start.
-
-    The start-term congruence system is solved directly; when it has no
-    solution the lexicographically first failing (i, j) subpath is
-    reported, which always exists because the two criteria are equivalent.
-    """
-    solved = crt_solve(pattern_congruences(sp))
-    if solved is not None:
-        return RealizabilityVerdict(WEAKLY_REALIZABLE, solved.residue, signed=sp)
-    failure = _first_failing_subpath(sp)
-    if failure is None:
-        raise RuntimeError(
-            "congruence system unsolvable but every subpath passed; "
-            f"pattern {sp.steps} breaks the engine's core equivalence"
-        )
-    return RealizabilityVerdict(FORBIDDEN, failure=failure)
-
-
-def _strict_from_weak(verdict: RealizabilityVerdict) -> RealizabilityVerdict:
-    sp = verdict.signed
-    assert sp is not None and verdict.witness_start is not None
-    walk = realize(sp, verdict.witness_start)
-    if walk.is_strict():
-        return replace(verdict, status=REALIZABLE)
-    return verdict
-
-
-def _signings(p: Pattern) -> Iterator[tuple[SignedPattern, int]]:
-    """Sign assignments that are weakly realizable, in lexicographic order
-    (+ before -), each with its least witness start.
-
-    Enumeration prunes on the incrementally merged congruence system, so
-    prefixes that already violate an adjacent-pair or longer-span condition
-    are dropped without expanding the subtree.
-    """
-    skips = p.skips
-    n = len(skips)
-    chosen: list[tuple[int, int]] = []
-
-    def rec(k: int, offset: int, acc: Congruence) -> Iterator[tuple[SignedPattern, int]]:
-        if k == n:
-            yield SignedPattern(tuple(chosen)), acc.residue
-            return
-        for sign in (1, -1):
-            merged = crt_merge(acc, step_congruence(sign, skips[k], offset))
-            if merged is None:
-                continue
-            chosen.append((sign, skips[k]))
-            yield from rec(k + 1, offset + sign * skips[k], merged)
-            chosen.pop()
-
-    yield from rec(0, 0, Congruence(0, 1))
+def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
+    """``check_subpath(sp, i, j)`` for every i < j, ordered by i and then
+    j; a running intermediate sum keeps the whole scan O(n^2)."""
+    steps = sp.steps
+    for i, (sign_i, a_i) in enumerate(steps):
+        inner = 0
+        for j in range(i + 1, len(steps)):
+            sign_j, a_j = steps[j]
+            div_ok, par_ok = _span_conditions(a_i, sign_i, inner, a_j, sign_j)
+            yield SubpathReport(i, j, inner, math.gcd(a_i, a_j), div_ok, par_ok)
+            inner += sign_j * a_j
 
 
 def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
@@ -236,36 +176,75 @@ def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
     return None
 
 
+def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
+    """Weakly realizable signings of ``p`` in lexicographic order (+ before
+    -), each with its least witness start.  A signed pattern offers its own
+    sign at each step, an unsigned one + then -; one congruence merge per
+    step prunes a failing prefix with its subtree.  A stack frame is (sign
+    that reached it, untried signs, step offset, merged congruence)."""
+    skips = p.skips
+    n = len(skips)
+    offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * n
+    stack = [(0, iter(offers[0]), 0, Congruence(0, 1))]
+    while stack:
+        _, untried, offset, acc = stack[-1]
+        k = len(stack) - 1
+        for sign in untried:
+            merged = crt_merge(acc, step_congruence(sign, skips[k], offset))
+            if merged is None:
+                continue
+            if k + 1 < n:
+                stack.append((sign, iter(offers[k + 1]), offset + sign * skips[k], merged))
+                break
+            signs = [frame[0] for frame in stack[1:]] + [sign]
+            yield SignedPattern(tuple(zip(signs, skips))), merged.residue
+        else:
+            stack.pop()
+
+
+def _forbidden(p: AnyPattern) -> RealizabilityVerdict:
+    """FORBIDDEN with a failing subpath: the first failing span of a signed
+    pattern; for an unsigned one a sign-free divisibility failure, else the
+    first failing span of its all-plus signing."""
+    if isinstance(p, Pattern):
+        failure = _sign_free_divisibility_failure(p)
+        if failure is not None:
+            return RealizabilityVerdict(FORBIDDEN, failure=failure)
+        p = SignedPattern(tuple((1, s) for s in p.skips))
+    failure = next((report for report in _subpath_reports(p) if not report.ok), None)
+    if failure is None:
+        raise RuntimeError(
+            "congruence system unsolvable but every subpath passed; "
+            f"pattern {p.steps} breaks the engine's core equivalence"
+        )
+    return RealizabilityVerdict(FORBIDDEN, failure=failure)
+
+
+def weakly_realizable(sp: SignedPattern) -> RealizabilityVerdict:
+    """Decide weak realizability and produce the least witness start: the
+    first signing the walk yields, else the lexicographically first
+    failing (i, j) subpath."""
+    for signed, start in _signings(sp):
+        return RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=signed)
+    return _forbidden(sp)
+
+
 def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
     """Three-way verdict: forbidden, weakly realizable only, or realizable.
 
-    A signed pattern is checked at its least witness start; term and arc
-    coincidences are start-independent, so one witness decides (an arc
-    repeat implies a term repeat, so terms alone are compared).  An
-    unsigned pattern is realizable when some sign assignment is, with the
-    lexicographically least qualifying assignment reported.
+    Each weakly realizable signing is checked at its least witness start;
+    term and arc coincidences are start-independent, so one witness
+    decides (an arc repeat implies a term repeat, so terms alone are
+    compared).  The lexicographically least strict signing is reported,
+    else the least weak one.  A signed pattern has one signing, itself.
     """
-    if isinstance(p, SignedPattern):
-        verdict = weakly_realizable(p)
-        if verdict.status == FORBIDDEN:
-            return verdict
-        return _strict_from_weak(verdict)
-
     first_weak: RealizabilityVerdict | None = None
     for sp, start in _signings(p):
-        verdict = RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=sp)
-        upgraded = _strict_from_weak(verdict)
-        if upgraded.status == REALIZABLE:
-            return upgraded
+        if realize(sp, start).is_strict():
+            return RealizabilityVerdict(REALIZABLE, start, signed=sp)
         if first_weak is None:
-            first_weak = verdict
-    if first_weak is not None:
-        return first_weak
-    failure = _sign_free_divisibility_failure(p)
-    if failure is None:
-        all_plus = SignedPattern(tuple((1, s) for s in p.skips))
-        failure = _first_failing_subpath(all_plus)
-    return RealizabilityVerdict(FORBIDDEN, failure=failure)
+            first_weak = RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=sp)
+    return first_weak if first_weak is not None else _forbidden(p)
 
 
 def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:

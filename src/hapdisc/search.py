@@ -25,7 +25,6 @@ skips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,6 +34,7 @@ from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
     _span_conditions,
+    _subpath_reports,
     step_congruence,
     strict_realizability,
     valid_odd_cycle,
@@ -107,15 +107,8 @@ def _adjacent_parity(same_sign: bool):
 
 
 def _gcd_span_signed(p):
-    steps = p.steps
-    n = len(steps)
-    for i in range(n):
-        inner = 0
-        for j in range(i + 2, n):
-            inner += steps[j - 1][0] * steps[j - 1][1]
-            if inner % math.gcd(steps[i][1], steps[j][1]):
-                return i, j
-    return None
+    failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
+    return None if failure is None else (failure.i, failure.j)
 
 
 def _gcd_span_unsigned(p):

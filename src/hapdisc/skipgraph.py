@@ -198,7 +198,8 @@ def verify_discrepancy(coloring: Coloring, skips: Iterable[int], horizon: int) -
 
     The block coloring indexes vertices 0..period-1 while the progressions
     index 1..horizon; the two rangings are mirror images, so position i
-    reads the color of vertex -i mod period.
+    reads the color of vertex -i mod period.  Each skip costs at most one
+    period of work, however far the horizon reaches.
     """
     ss = sorted_skips(skips)
     if horizon < max(ss):
@@ -208,7 +209,21 @@ def verify_discrepancy(coloring: Coloring, skips: Iterable[int], horizon: int) -
     worst = 0
     for s in ss:
         count = horizon // s
-        idx = (np.arange(1, count + 1, dtype=np.int64) * (-s)) % period
-        sums = np.cumsum(values[idx])
-        worst = max(worst, int(np.max(np.abs(sums))))
+        # Term k of the progression reads vertex -k*s mod period, which
+        # repeats every ``length`` terms.  With c the sum over one cycle
+        # and P(r) the partial sums inside it, term n = q*length + r has
+        # partial sum q*c + P(r).  That is convex in q, so the first and
+        # the last full cycle, and the partial cycle after them, hold the
+        # maximum.  Shifts stay Python integers, so no horizon overflows.
+        length = period // math.gcd(s, period)
+        k = np.arange(1, min(count, length) + 1, dtype=np.int64)
+        sums = np.cumsum(values[k * (-s % period) % period])
+        full, rest = divmod(count, length)
+        cycle_sum = int(sums[-1])
+        parts = [(sums[:rest], full * cycle_sum)]
+        if full:
+            parts += [(sums, 0), (sums, (full - 1) * cycle_sum)]
+        for part, shift in parts:
+            if len(part):
+                worst = max(worst, abs(int(part.max()) + shift), abs(int(part.min()) + shift))
     return worst

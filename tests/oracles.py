@@ -37,6 +37,19 @@ def walk_exists(sp: SignedPattern) -> bool:
     return least_walk_start(sp) is not None
 
 
+def discrepancy_scan(values: list[int], skips: list[int], horizon: int) -> int:
+    """Max |partial sum| over progressions s, 2s, ... up to the horizon,
+    term by term; position i reads the color of vertex -i mod period."""
+    period = len(values)
+    worst = 0
+    for s in skips:
+        total = 0
+        for i in range(s, horizon + 1, s):
+            total += values[-i % period]
+            worst = max(worst, abs(total))
+    return worst
+
+
 def brute_congruence_solution(pairs: list[tuple[int, int]]) -> int | None:
     """Least x in [0, lcm) satisfying every (residue, modulus) pair."""
     bound = math.lcm(*(m for _, m in pairs))

@@ -55,6 +55,13 @@ def test_check_realizable(capsys):
     assert data == {"status": "realizable", "start": 1}
 
 
+def test_check_long_unsigned_pattern(capsys):
+    # 1 200 unsigned steps, one signing-walk frame each
+    code, out, _ = run(capsys, "check", "-p", "[" + " ".join(["1"] * 1200) + "]")
+    assert code == 0
+    assert out.startswith("weakly-realizable at 0 via [+1 -1 +1 -1 ")
+
+
 def test_realize_round_trip(capsys):
     code, data = run_json(capsys, "realize", "-p", "[2 1 3]", "--start", "0")
     assert code == 0

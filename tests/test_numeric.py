@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from hapdisc.numeric import Congruence, TwoClass, crt_merge, crt_solve, two_adic_valuation
+from hapdisc.numeric import Congruence, crt_merge, crt_solve, two_adic_valuation
 
 from oracles import brute_congruence_solution
 
@@ -23,12 +23,6 @@ def test_two_adic_valuation_rejects_nonpositive(bad):
 def test_valuation_doubles():
     for n in range(1, 2000):
         assert two_adic_valuation(2 * n) == two_adic_valuation(n) + 1
-
-
-def test_two_class_ordering():
-    assert TwoClass.of(4) > TwoClass.of(6)
-    assert TwoClass.of(3) == TwoClass.of(7)
-    assert TwoClass.of(1) < TwoClass.of(2)
 
 
 def test_congruence_normalizes():

@@ -1,5 +1,5 @@
-"""Property tests of the realizability checks against the brute-force
-oracles.
+"""Property tests of the realizability checks and the discrepancy
+verifier against the brute-force oracles.
 
 Skips stay at most 8, so one period of any block graph drawn here is at
 most 2 * lcm(1..8) = 1680 terms and every period scan stays cheap.  The
@@ -9,15 +9,30 @@ reads; the library checks terms alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hapdisc.numeric import Congruence, crt_solve
-from hapdisc.pattern import SignedPattern, parse_pattern, realize
-from hapdisc.realizability import valid_odd_cycle
-from oracles import brute_congruence_solution, least_walk_start, walk_attempt
+from hapdisc.pattern import Pattern, SignedPattern, parse_pattern, realize
+from hapdisc.realizability import (
+    FORBIDDEN,
+    REALIZABLE,
+    WEAKLY_REALIZABLE,
+    check_subpath,
+    strict_realizability,
+    valid_odd_cycle,
+    weakly_realizable,
+)
+from hapdisc.skipgraph import Coloring, verify_discrepancy
+from oracles import (
+    brute_congruence_solution,
+    discrepancy_scan,
+    least_walk_start,
+    walk_attempt,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -27,6 +42,10 @@ PERIOD = 2 * math.lcm(*range(1, MAX_SKIP + 1))
 steps_st = st.tuples(st.sampled_from((1, -1)), st.integers(1, MAX_SKIP))
 signed_patterns = st.lists(steps_st, min_size=1, max_size=8).map(
     lambda steps: SignedPattern(tuple(steps))
+)
+# skips at most 6 and at most 6 steps: 64 signings of 120-term periods
+unsigned_patterns = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
+    lambda skips: Pattern(tuple(skips))
 )
 
 
@@ -66,6 +85,53 @@ def test_is_strict_matches_walk_oracle(sp, t):
         terms, arcs = _walk(sp, start)
         strict = walk_attempt(sp, start) and _distinct(terms) and _distinct(arcs)
         assert realize(sp, start).is_strict() == strict
+
+
+@PROPERTY
+@given(unsigned_patterns)
+def test_unsigned_verdict_is_best_signing(p):
+    # the least strict signing, else the least weak one, else forbidden,
+    # with signings in lexicographic order (+ before -)
+    best = (FORBIDDEN, None, None)
+    for signs in itertools.product((1, -1), repeat=len(p)):
+        sp = SignedPattern(tuple(zip(signs, p.skips)))
+        start = least_walk_start(sp)
+        if start is None:
+            continue
+        if _distinct(_walk(sp, start)[0]):
+            best = (REALIZABLE, start, signs)
+            break
+        if best[0] == FORBIDDEN:
+            best = (WEAKLY_REALIZABLE, start, signs)
+    verdict = strict_realizability(p)
+    signs = None if verdict.signed is None else verdict.signed.signs
+    assert (verdict.status, verdict.witness_start, signs) == best
+
+
+@PROPERTY
+@given(signed_patterns)
+def test_signed_verdict_matches_walk_scan(sp):
+    # the least start, else the first (i, j) whose one-span check fails
+    weak = weakly_realizable(sp)
+    assert weak.witness_start == least_walk_start(sp)
+    if weak.status == FORBIDDEN:
+        n = len(sp)
+        first = next((i, j) for i in range(n) for j in range(i + 1, n) if not check_subpath(sp, i, j).ok)
+        assert strict_realizability(sp).failure == weak.failure == check_subpath(sp, *first)
+
+
+@PROPERTY
+@given(
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=24),
+    st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    st.integers(0, 600),
+)
+# two cycles of -1 -1 -1 +1 +1 +1 +1: the deepest dip is in the first
+@example([1, 1, 1, 1, -1, -1, -1], [1], 13)
+def test_verify_discrepancy_matches_scan(values, skips, extra):
+    horizon = max(skips) + extra
+    expected = discrepancy_scan(values, skips, horizon)
+    assert verify_discrepancy(Coloring.from_values(values), skips, horizon) == expected
 
 
 @PROPERTY

@@ -136,7 +136,7 @@ def test_eleven_cycle_valid_at_360():
     assert verdict.witness_start == 360
 
 
-def test_zero_sum_with_repeated_arc_is_invalid():
+def test_zero_sum_with_repeated_term_is_invalid():
     verdict = valid_odd_cycle(sp("[+2 +1 -3 +4 -4]"))
     assert not verdict.valid
     assert verdict.signed_sum == 0

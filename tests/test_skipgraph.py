@@ -16,6 +16,8 @@ from hapdisc.skipgraph import (
     verify_discrepancy,
 )
 
+from oracles import discrepancy_scan
+
 
 def coloring_is_proper(coloring, graph) -> bool:
     return all(coloring[u] != coloring[v] for u, v in graph.edges())
@@ -155,6 +157,16 @@ def test_verify_discrepancy_two_color_output():
     g = build_graph([2, 3, 4])
     coloring = two_color(g)
     assert verify_discrepancy(coloring, [2, 3, 4], 10 * g.period) == 1
+
+
+def test_verify_discrepancy_huge_horizon():
+    # s = 1 reads +1 -1 +1 +1 per cycle of four terms, so its partial sum
+    # gains 2 every cycle; s = 2 reads -1 +1 and stays within 1
+    values = [1, 1, -1, 1]
+    coloring = Coloring.from_values(values)
+    assert verify_discrepancy(coloring, [1, 2], 400) == discrepancy_scan(values, [1, 2], 400) == 200
+    assert verify_discrepancy(coloring, [1, 2], 10**11) == 5 * 10**10
+    assert verify_discrepancy(coloring, [1, 2], 10**40 + 3) == 5 * 10**39 + 1
 
 
 def test_verify_discrepancy_horizon_precondition():
