@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numeric import Congruence, crt_merge, two_adic_valuation
+from .numeric import crt_merge, two_adic_valuation
 from .pattern import AnyPattern, Pattern, SignedPattern, realize
 
 FORBIDDEN = "forbidden"
@@ -130,14 +130,14 @@ def basic_parity_test(sp: SignedPattern) -> bool:
     return all(check_subpath(sp, k, k + 1).parity_ok for k in range(len(sp) - 1))
 
 
-def step_congruence(sign: int, skip: int, offset: int) -> Congruence:
-    """Constraint on the start term T for one step.
+def step_congruence(sign: int, skip: int, offset: int) -> tuple[int, int]:
+    """Constraint ``(residue, modulus)`` on the start term T for one step.
 
     ``offset`` is the signed sum of the earlier steps, so T + offset is the
     term the step leaves from; it must be an even multiple of the skip for
     an up step and an odd multiple for a down step.
     """
-    return Congruence(((1 - sign) // 2) * skip - offset, 2 * skip)
+    return ((1 - sign) // 2) * skip - offset, 2 * skip
 
 
 def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
@@ -185,7 +185,7 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     skips = p.skips
     n = len(skips)
     offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * n
-    stack = [(0, iter(offers[0]), 0, Congruence(0, 1))]
+    stack = [(0, iter(offers[0]), 0, (0, 1))]
     while stack:
         _, untried, offset, acc = stack[-1]
         k = len(stack) - 1
@@ -197,7 +197,7 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
                 stack.append((sign, iter(offers[k + 1]), offset + sign * skips[k], merged))
                 break
             signs = [frame[0] for frame in stack[1:]] + [sign]
-            yield SignedPattern(tuple(zip(signs, skips))), merged.residue
+            yield SignedPattern(tuple(zip(signs, skips))), merged[0]
         else:
             stack.pop()
 

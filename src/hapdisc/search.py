@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .numeric import Congruence, crt_merge
+from .numeric import crt_merge
 from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_skips
 from .realizability import (
     REALIZABLE,
@@ -185,7 +185,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
         if best is None or key < best:
             best = key + (tuple(all_steps),)
 
-    def recurse(base: int, acc: Congruence) -> None:
+    def recurse(base: int, acc: tuple[int, int]) -> None:
         nonlocal truncated
         depth = len(steps)
         if depth == max_len:
@@ -220,17 +220,17 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 if merged is None:
                     continue
                 if closes:
-                    consider(depth + 1, merged.residue, (sign, a))
+                    consider(depth + 1, merged[0], (sign, a))
                     continue
                 steps.append((sign, a))
                 seen.add(new_sum)
                 if not cycles:
-                    consider(depth + 1, merged.residue, None)
+                    consider(depth + 1, merged[0], None)
                 recurse(new_sum, merged)
                 seen.discard(new_sum)
                 steps.pop()
 
-    recurse(0, Congruence(0, 1))
+    recurse(0, (0, 1))
     if best is None:
         return None, truncated
     neg_len, start, _, _, found = best

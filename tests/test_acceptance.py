@@ -15,6 +15,7 @@ import pytest
 from hapdisc.classify import SkipSet, classify_size3, classify_size4
 from hapdisc.pattern import Pattern, SignedPattern, infer_signs, parse_pattern, realize
 from hapdisc.realizability import (
+    REALIZABLE,
     basic_parity_test,
     check_subpath,
     strict_realizability,
@@ -28,7 +29,7 @@ from hapdisc.reduction import (
     mod_nM_audit,
     witness_cycle,
 )
-from hapdisc.search import longest_odd_cycle
+from hapdisc.search import longest_odd_cycle, longest_path
 from hapdisc.skipgraph import build_graph, find_odd_cycle, two_color, verify_discrepancy
 
 from oracles import least_walk_start
@@ -139,6 +140,24 @@ def test_criterion_01_long_row_fixtures():
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"fixture suite took {elapsed:.2f}s"
     report(1, f"all {len(KNOWN_LONG_ROWS)} stored rows realize correctly ({elapsed:.2f}s)")
+
+
+def test_stored_path_rows_extend_by_one_step():
+    # Each stored path of 4-6 skips starts on an even term and never visits
+    # the odd term just above it, so the step -1 down from that term
+    # prepends: one step longer, starting one higher.  For 4 and 5 skips
+    # the extension is the search's own row.
+    for size, kind, length, start, text in KNOWN_LONG_ROWS:
+        if kind != "path" or size < 4:
+            continue
+        p = parse_pattern(text)
+        longer = SignedPattern(((-1, 1),) + infer_signs(p, start).steps)
+        verdict = strict_realizability(longer)
+        assert verdict.status == REALIZABLE, text
+        assert (len(longer), verdict.witness_start) == (length + 1, start + 1)
+        if size <= 5:
+            found = longest_path(sorted(set(p.skips)))
+            assert (found.signed, found.start) == (longer, start + 1)
 
 
 def test_criterion_02_eleven_cycle():

@@ -1,8 +1,9 @@
-"""Property tests of the realizability checks and the discrepancy
-verifier against the brute-force oracles.
+"""Property tests of the realizability checks, the block solver and the
+discrepancy verifier against the brute-force oracles.
 
-Skips stay at most 8, so one period of any block graph drawn here is at
-most 2 * lcm(1..8) = 1680 terms and every period scan stays cheap.  The
+Pattern skips stay at most 8, so one period of any block graph drawn for
+a pattern is at most 2 * lcm(1..8) = 1680 terms and every period scan
+stays cheap; the block solver gets skip sets of periods up to 2^14.  The
 oracles below check arcs as well as terms, as the paper's definition
 reads; the library checks terms alone.
 """
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hapdisc.numeric import Congruence, crt_solve
+from hapdisc.classify import classify
+from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, parse_pattern, realize
 from hapdisc.realizability import (
     FORBIDDEN,
@@ -26,7 +29,13 @@ from hapdisc.realizability import (
     valid_odd_cycle,
     weakly_realizable,
 )
-from hapdisc.skipgraph import Coloring, verify_discrepancy
+from hapdisc.skipgraph import (
+    Coloring,
+    OddCycleCertificate,
+    build_graph,
+    solve_block,
+    verify_discrepancy,
+)
 from oracles import (
     brute_congruence_solution,
     discrepancy_scan,
@@ -47,6 +56,13 @@ signed_patterns = st.lists(steps_st, min_size=1, max_size=8).map(
 unsigned_patterns = st.lists(st.integers(1, 6), min_size=1, max_size=6).map(
     lambda skips: Pattern(tuple(skips))
 )
+
+# skip sets of 2-5 skips up to 24 whose block has at most 2^14 vertices
+BLOCK_SETS = {
+    k: [s for s in itertools.combinations(range(1, 25), k) if 2 * math.lcm(*s) <= 2**14]
+    for k in range(2, 6)
+}
+skip_sets = st.integers(2, 5).flatmap(lambda k: st.sampled_from(BLOCK_SETS[k]))
 
 
 @st.composite
@@ -155,15 +171,37 @@ def test_valid_odd_cycle_matches_walk_oracle(sp):
 
 
 @PROPERTY
+@given(skip_sets)
+def test_solve_block_matches_oracles(skips):
+    # a coloring has discrepancy 1 over one period; a cycle closes from its
+    # start with no repeated term; for |S| <= 4 the classifier agrees
+    g = build_graph(skips)
+    found = solve_block(g)
+    if isinstance(found, Coloring):
+        assert found.period == g.period
+        assert discrepancy_scan(found.values.tolist(), skips, g.period) <= 1
+    else:
+        assert isinstance(found, OddCycleCertificate)
+        sp, start = found.signed_pattern, found.start
+        assert len(sp) % 2 == 1 and set(sp.skips) <= set(skips)
+        assert walk_attempt(sp, start)
+        terms, _ = _walk(sp, start)
+        assert terms[-1] == terms[0] and _distinct(terms[:-1])
+    if len(skips) <= 4:
+        assert classify(skips).forces == isinstance(found, OddCycleCertificate)
+
+
+@PROPERTY
 @given(
     st.lists(
         st.tuples(st.integers(-100, 100), st.integers(1, 12)), min_size=1, max_size=5
     )
 )
-def test_crt_solve_matches_brute_force(pairs):
-    solved = crt_solve([Congruence(r, m) for r, m in pairs])
+def test_crt_merge_fold_matches_brute_force(pairs):
+    # fold from the trivial congruence, as the signing walks do
+    solved = reduce(lambda acc, c: None if acc is None else crt_merge(acc, c), pairs, (0, 1))
     expected = brute_congruence_solution(pairs)
     if expected is None:
         assert solved is None
     else:
-        assert solved == Congruence(expected, math.lcm(*(m for _, m in pairs)))
+        assert solved == (expected, math.lcm(*(m for _, m in pairs)))

@@ -117,38 +117,53 @@ def test_longest_odd_cycle_rows():
     assert longest_odd_cycle([1, 3], 9) is None
 
 
-FIVE_SET_ROWS = [
+# (kind, skips, max_len, start, signed), recorded from the search itself;
+# no row is cut off by its max_len
+PINNED_ROWS = [
+    ("path", [1, 4, 7, 9], 64, 71, "[-1 +7 -1 -4 +9 -1 +4 +7 -1 +9 -1 +7 -1 +4 +9 -1 -4 +7 -1]"),
     (
         "path",
         [1, 3, 5, 22, 31],
+        64,
         10039,
         "[-1 +3 -1 +5 -1 +31 -1 +3 -1 +22 +3 -1 +5 -1 +3 -1 +31 -3 +1 -5 +1 -3 +1]",
     ),
-    ("cycle", [1, 3, 5, 22, 31], 1488, "[+3 -1 +5 -1 +3 -1 +22 +1 -31]"),
+    ("cycle", [1, 3, 5, 22, 31], 25, 1488, "[+3 -1 +5 -1 +3 -1 +22 +1 -31]"),
     (
         "path",
         [1, 2, 9, 35, 37],
+        64,
         15963,
         "[-1 -2 +35 -1 -2 +1 -9 +37 -1 +9 -1 +2 +35 -9 +2 +37 -1 -2 +9 -1 +35"
         " -1 -2 +37 -1 +2 +35 -1 +2 +37 -1 -2 +35 -1 -2 +9 -1 +37 -9 +2 +35"
         " -1 +9 -1 +2 +37 -1 -2 +1 -9 +35 -1 -2 +1]",
     ),
-    ("cycle", [1, 2, 9, 35, 37], 19240, "[+2 +9 -1 +35 -1 +2 +1 -9 -2 +1 -37]"),
+    ("cycle", [1, 2, 9, 35, 37], 25, 19240, "[+2 +9 -1 +35 -1 +2 +1 -9 -2 +1 -37]"),
+    (
+        "path",
+        [1, 3, 4, 6, 10, 59],
+        200,
+        2849,
+        "[-1 +4 +1 -3 -6 -4 +1 -3 -6 +59 -1 -10 +6 +3 -1 +4 +6 +3 -1 +10 +3 -1"
+        " +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +10 +59 -1 +4 +6 +3 -1 +10 +3 -1"
+        " +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +6 +3 -1 +59 -1 +3 -1 +4 +6 +3"
+        " -1 +10 +3 -1 +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +6 +59 -1 -4 +6 +3"
+        " -1 +4 +6 +3 -1 +10 +3 -1 +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +6 +3"
+        " -1 -4 +59 -3 +6 +3 -1 +4 +6 +3 -1 +10 +3 -1 +4 +6 +3 -1 -4 +10 +1 -3"
+        " +6 +3 -1 +4 +3 -1 +59 -1 +6 +3 -1 +4 +6 +3 -1 +10 +3 -1 +4 +6 +3 -1"
+        " -4 +10 +1 -3 +6 +3 -1 +4 +6 +3 -1 -4 +1]",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind,skips,start,signed",
-    FIVE_SET_ROWS,
-    ids=[f"{kind}-{'-'.join(map(str, skips))}" for kind, skips, _, _ in FIVE_SET_ROWS],
+    "kind,skips,max_len,start,signed",
+    PINNED_ROWS,
+    ids=[f"{kind}-{'-'.join(map(str, skips))}" for kind, skips, *_ in PINNED_ROWS],
 )
-def test_five_set_results_pinned(kind, skips, start, signed):
-    # longest_path at its default cap of 64, longest_odd_cycle at 25;
-    # neither search is cut off by its cap
-    if kind == "path":
-        result = longest_path(skips)
-    else:
-        result = longest_odd_cycle(skips, 25)
+def test_search_results_pinned(kind, skips, max_len, start, signed):
+    search = longest_path if kind == "path" else longest_odd_cycle
+    result = search(skips, max_len)
     assert format_pattern(result.signed) == signed
     assert (result.start, result.length) == (start, len(parse_pattern(signed)))
     assert not result.lower_bound
