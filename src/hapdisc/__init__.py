@@ -3,15 +3,7 @@ arithmetic progressions: pattern realizability, skip-graph coloring,
 closed-form classifiers for small sets, extremal search, and the
 equal-sum-subsets hardness transformation."""
 
-from .classify import (
-    Classification,
-    SkipSet,
-    UnsupportedSizeError,
-    classify,
-    classify_size3,
-    classify_size4,
-    reduce_set,
-)
+from .classify import Classification, UnsupportedSizeError, classify
 from .numeric import crt_merge, two_adic_valuation
 from .pattern import (
     Pattern,
@@ -77,7 +69,6 @@ __all__ = [
     "SignInferenceError",
     "SignedPattern",
     "SkipGraph",
-    "SkipSet",
     "SubpathReport",
     "UnsupportedSizeError",
     "basic_parity_test",
@@ -86,8 +77,6 @@ __all__ = [
     "build_graph",
     "check_subpath",
     "classify",
-    "classify_size3",
-    "classify_size4",
     "crt_merge",
     "ess_solve",
     "find_odd_cycle",
@@ -98,7 +87,6 @@ __all__ = [
     "mod_nM_audit",
     "parse_pattern",
     "realize",
-    "reduce_set",
     "rule_scan",
     "solve_block",
     "strict_realizability",

@@ -1,13 +1,15 @@
 """Closed-form decision procedures for skip sets of size at most 4.
 
-Scaling every skip by a common factor changes nothing, so sets are
-reduced to gcd 1 first.  Sizes 1 and 2 never force discrepancy two.  A
-3-set forces exactly when its two smaller elements sum to the largest
-and occupy different 2-adic classes (a triangle).  A 4-set forces exactly
-when one of four conditions holds, each naming the odd cycle it yields:
+Scaling every skip by a common factor changes nothing, so `classify`
+divides the set by its gcd and runs one table of the paper's cycle
+conditions on the reduced set.  Sizes 1 and 2 never force discrepancy
+two.  A 3-set forces exactly when its two smaller elements sum to the
+largest and occupy different 2-adic classes (a triangle).  A 4-set forces
+exactly when one of four conditions holds, each naming the odd cycle it
+yields:
 
 1. some triple p + q = r with p, q in different 2-adic classes
-   (a 3-cycle; the triple need not be reduced on its own);
+   (a 3-cycle, the 3-set test; the triple need not be reduced on its own);
 2. two even skips a, b in the same 2-adic class and two odd skips x, y
    with b | a, gcd(a, x) | b, gcd(a, y) | b and a = 2b + y - x
    (the 5-cycle [+b -a +b +y -x]);
@@ -18,8 +20,9 @@ when one of four conditions holds, each naming the odd cycle it yields:
    x | a + 1 and gcd(a, y) = 1
    (the 7-cycle [+a +1 -x +1 -y +1 -x]).
 
-Every positive verdict ships a predicted cycle that is validated before
-being returned, with its start term from the congruence solver.
+The first condition that holds names the verdict.  Its predicted cycle is
+scaled back to the input's own skips and validated once there, which
+also yields its start term.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Union
+from typing import Iterable
 
 from .numeric import two_adic_valuation
-from .pattern import SignedPattern, sorted_skips
+from .pattern import SignedPattern, format_pattern, sorted_skips
 from .realizability import valid_odd_cycle
 
 RULE_NONE = "none"
@@ -52,44 +55,6 @@ class UnsupportedSizeError(ValueError):
         self.size = size
 
 
-@dataclass(frozen=True)
-class SkipSet:
-    """A finite set of distinct positive skip sizes with its gcd."""
-
-    elements: tuple[int, ...]
-    reduction_factor: int
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "SkipSet":
-        elems = sorted_skips(values)
-        return cls(elems, math.gcd(*elems))
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.reduction_factor == 1
-
-    def reduced(self) -> "SkipSet":
-        f = self.reduction_factor
-        return SkipSet.of(e // f for e in self.elements)
-
-
-SkipSetLike = Union[SkipSet, Iterable[int]]
-
-
-def _as_skip_set(s: SkipSetLike) -> SkipSet:
-    return s if isinstance(s, SkipSet) else SkipSet.of(s)
-
-
-def reduce_set(s: SkipSetLike) -> tuple[SkipSet, int]:
-    """Divide out the gcd; classification is invariant under this."""
-    ss = _as_skip_set(s)
-    return ss.reduced(), ss.reduction_factor
-
-
 @dataclass
 class Classification:
     forces: bool
@@ -106,8 +71,6 @@ class Classification:
             "labeling": self.labeling,
         }
         if self.predicted_cycle is not None:
-            from .pattern import format_pattern
-
             out["cycle"] = {
                 "pattern": format_pattern(self.predicted_cycle),
                 "start": self.predicted_start,
@@ -191,79 +154,39 @@ def _seven_cycle(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | Non
     return None
 
 
-_BULLET_CHECKS = (
-    _three_cycle_triple,
-    _five_cycle_two_even,
-    _five_cycle_one_even,
-    _seven_cycle,
-)
+# The paper's cycle conditions by set size, tested in order on the
+# gcd-reduced set; a 3-set's triangle is the 4-set's first condition, and
+# sizes 1 and 2 have none.
+_RULES = {
+    3: ((RULE_SIZE3, _three_cycle_triple),),
+    4: tuple(
+        zip(RULE_BULLETS, (_three_cycle_triple, _five_cycle_two_even, _five_cycle_one_even, _seven_cycle))
+    ),
+}
 
 
-def _validated(steps: list, scale: int) -> tuple[SignedPattern, int]:
-    sp = SignedPattern(tuple((sign, scale * skip) for sign, skip in steps))
-    verdict = valid_odd_cycle(sp)
-    if not verdict.valid:
-        raise RuntimeError(f"predicted cycle failed validation: {sp.steps} ({verdict.reason})")
-    assert verdict.witness_start is not None
-    return sp, verdict.witness_start
+def classify(values: Iterable[int]) -> Classification:
+    """Decide whether a skip set of size at most 4 forces discrepancy two.
 
-
-def classify_size3(s: SkipSetLike) -> Classification:
-    """Decide a reduced 3-set: forces iff a + b = c with a, b in
-    different 2-adic classes, in which case the witness is a 3-cycle."""
-    ss = _as_skip_set(s)
-    if ss.size != 3:
-        raise ValueError(f"classify_size3 needs exactly 3 elements, got {ss.size}")
-    if not ss.is_reduced:
-        raise ValueError(f"classify_size3 expects a reduced set, gcd is {ss.reduction_factor}")
-    hit = _three_cycle_triple(ss.elements)
-    if hit is None:
-        return Classification(False, RULE_NONE)
-    labeling, steps = hit
-    cycle, start = _validated(steps, 1)
-    return Classification(True, RULE_SIZE3, labeling, cycle, start)
-
-
-def classify_size4(s: SkipSetLike) -> Classification:
-    """Decide a reduced 4-set by testing the four cycle conditions in
-    order, shortest predicted cycle first; all satisfied conditions are
-    reported for diagnostics."""
-    ss = _as_skip_set(s)
-    if ss.size != 4:
-        raise ValueError(f"classify_size4 needs exactly 4 elements, got {ss.size}")
-    if not ss.is_reduced:
-        raise ValueError(f"classify_size4 expects a reduced set, gcd is {ss.reduction_factor}")
-    hits = [(rule, check(ss.elements)) for rule, check in zip(RULE_BULLETS, _BULLET_CHECKS)]
-    satisfied = tuple(rule for rule, hit in hits if hit is not None)
-    for rule, hit in hits:
-        if hit is None:
-            continue
-        labeling, steps = hit
-        cycle, start = _validated(steps, 1)
-        return Classification(True, rule, labeling, cycle, start, satisfied)
-    return Classification(False, RULE_NONE, satisfied_bullets=satisfied)
-
-
-def classify(s: SkipSetLike) -> Classification:
-    """Full dispatch for |S| <= 4, reducing by the gcd first.
-
-    The returned labeling and cycle are scaled back to the original
-    elements, so the witness cycle runs in the input set's own graph.
+    The rules run on the set divided by its gcd g; the first hit's cycle
+    and labeling are scaled back by g, so the witness cycle runs in the
+    input set's own graph, and that cycle is validated once.  Every
+    satisfied 4-set condition is reported in ``satisfied_bullets``.
     """
-    ss = _as_skip_set(s)
-    if ss.size > 4:
-        raise UnsupportedSizeError(ss.size)
-    if ss.size <= 2:
+    elements = sorted_skips(values)
+    if len(elements) > 4:
+        raise UnsupportedSizeError(len(elements))
+    g = math.gcd(*elements)
+    reduced = tuple(e // g for e in elements)
+    hits = [(rule, hit) for rule, check in _RULES.get(len(reduced), ()) if (hit := check(reduced))]
+    if not hits:
         return Classification(False, RULE_NONE)
-    reduced, factor = reduce_set(ss)
-    if reduced.size == 3:
-        base = classify_size3(reduced)
-    else:
-        base = classify_size4(reduced)
-    if not base.forces or factor == 1:
-        return base
-    labeling = {k: v * factor for k, v in (base.labeling or {}).items()}
-    assert base.predicted_cycle is not None
-    steps = list(base.predicted_cycle.steps)
-    cycle, start = _validated(steps, factor)
-    return Classification(True, base.rule, labeling, cycle, start, base.satisfied_bullets)
+    rule, (labeling, steps) = hits[0]
+    cycle = SignedPattern(steps).scaled(g)
+    verdict = valid_odd_cycle(cycle)
+    if not verdict.valid:
+        raise RuntimeError(f"predicted cycle failed validation: {cycle.steps} ({verdict.reason})")
+    assert verdict.witness_start is not None
+    labeling = {k: v * g for k, v in labeling.items()}
+    satisfied = tuple(rule for rule, _ in hits if rule in RULE_BULLETS)
+    return Classification(True, rule, labeling, cycle, verdict.witness_start, satisfied)

@@ -320,13 +320,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Integers of any size are read and printed exactly, so CPython's
+    # int<->str digit limit is lifted for this run and the caller's value
+    # restored after it: tests and benchmarks call main in-process.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

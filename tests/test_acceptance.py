@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from hapdisc.classify import SkipSet, classify_size3, classify_size4
+from hapdisc.classify import classify
 from hapdisc.pattern import Pattern, SignedPattern, infer_signs, parse_pattern, realize
 from hapdisc.realizability import (
     REALIZABLE,
@@ -88,7 +88,7 @@ def size3_sweep():
     for s in combinations(range(1, 31), 3):
         if math.gcd(*s) != 1:
             continue
-        forces = classify_size3(SkipSet.of(s)).forces
+        forces = classify(s).forces
         oracle = two_color(build_graph(s)) is None
         rows.append((s, forces, oracle))
     return rows
@@ -103,7 +103,7 @@ def size4_sweep():
             continue
         if 2 * math.lcm(*s) > 2**22:
             continue
-        forces = classify_size4(SkipSet.of(s)).forces
+        forces = classify(s).forces
         oracle = two_color(build_graph(s)) is None
         rows.append((s, forces, oracle))
     return rows

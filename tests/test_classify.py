@@ -1,18 +1,11 @@
+import importlib
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from hapdisc.classify import (
-    Classification,
-    SkipSet,
-    UnsupportedSizeError,
-    classify,
-    classify_size3,
-    classify_size4,
-    reduce_set,
-)
+from hapdisc.classify import Classification, UnsupportedSizeError, classify
 from hapdisc.pattern import format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
 from hapdisc.skipgraph import build_graph, two_color
@@ -23,27 +16,45 @@ def oracle_forces(skips) -> bool:
 
 
 def test_skip_set_construction():
-    s = SkipSet.of([6, 2, 4])
-    assert s.elements == (2, 4, 6)
-    assert s.reduction_factor == 2
+    # the input is sorted and divided by its gcd 2 before the rules run
+    result = classify([6, 2, 4])
+    assert result.labeling == {"a": 4, "b": 2, "c": 6}
+    assert format_pattern(result.predicted_cycle) == "[+4 +2 -6]"
     with pytest.raises(ValueError):
-        SkipSet.of([])
+        classify([])
     with pytest.raises(ValueError):
-        SkipSet.of([0, 1])
+        classify([0, 1])
 
 
 @pytest.mark.parametrize(
     "values,reduced,factor",
-    [([2, 4, 6], (1, 2, 3), 2), ([1, 2, 3], (1, 2, 3), 1), ([6, 10, 16], (3, 5, 8), 2)],
+    [
+        ([2, 4, 6], (1, 2, 3), 2),
+        ([1, 2, 3], (1, 2, 3), 1),
+        ([6, 10, 16], (3, 5, 8), 2),
+        ([2, 6, 10, 16], (1, 3, 5, 8), 2),
+    ],
 )
 def test_reduce_set(values, reduced, factor):
-    rs, f = reduce_set(SkipSet.of(values))
-    assert rs.elements == reduced
-    assert f == factor
+    # the verdict on a set is its reduced set's, scaled by the factor; a
+    # walk from t visits distinct terms iff one from t // factor does on
+    # the reduced skips, so the least start scales too
+    base = classify(reduced)
+    if not base.forces:
+        assert classify(values) == base
+        return
+    assert classify(values) == Classification(
+        True,
+        base.rule,
+        {k: factor * v for k, v in base.labeling.items()},
+        base.predicted_cycle.scaled(factor),
+        factor * base.predicted_start,
+        base.satisfied_bullets,
+    )
 
 
 def test_classify_size3_forcing_triple():
-    result = classify_size3(SkipSet.of([1, 2, 3]))
+    result = classify([1, 2, 3])
     assert result.forces and result.rule == "size3"
     assert result.labeling == {"a": 2, "b": 1, "c": 3}
     assert format_pattern(result.predicted_cycle) == "[+2 +1 -3]"
@@ -52,19 +63,19 @@ def test_classify_size3_forcing_triple():
 
 def test_classify_size3_same_class_sum():
     # 1 + 3 = 4 but 1 and 3 share a 2-adic class
-    result = classify_size3(SkipSet.of([1, 3, 4]))
+    result = classify([1, 3, 4])
     assert not result.forces
     assert not oracle_forces([1, 3, 4])
 
 
 def test_classify_size3_no_sum():
-    result = classify_size3(SkipSet.of([2, 3, 7]))
+    result = classify([2, 3, 7])
     assert not result.forces
     assert not oracle_forces([2, 3, 7])
 
 
 def test_classify_size4_seven_cycle():
-    result = classify_size4(SkipSet.of([1, 3, 5, 8]))
+    result = classify([1, 3, 5, 8])
     assert result.forces and result.rule == "size4-bullet-4"
     assert result.labeling == {"a": 8, "x": 3, "y": 5, "z": 1}
     assert result.predicted_start == 48
@@ -72,7 +83,7 @@ def test_classify_size4_seven_cycle():
 
 
 def test_classify_size4_five_cycle_two_even():
-    result = classify_size4(SkipSet.of([1, 2, 7, 10]))
+    result = classify([1, 2, 7, 10])
     assert result.forces and result.rule == "size4-bullet-2"
     assert format_pattern(result.predicted_cycle) == "[+2 -10 +2 +7 -1]"
     assert oracle_forces([1, 2, 7, 10])
@@ -80,12 +91,12 @@ def test_classify_size4_five_cycle_two_even():
 
 def test_classify_size4_matches_oracle_spot():
     for s in ([1, 4, 6, 9], [2, 3, 7, 8], [1, 2, 4, 6], [3, 5, 7, 9], [1, 3, 9, 11]):
-        assert classify_size4(SkipSet.of(s)).forces == oracle_forces(s), s
+        assert classify(s).forces == oracle_forces(s), s
 
 
 def test_classify_size4_unreduced_triple_inside_reduced_set():
     # {2,4,6} scaled from {1,2,3} forces even though no even+odd=odd triple exists
-    result = classify_size4(SkipSet.of([1, 2, 4, 6]))
+    result = classify([1, 2, 4, 6])
     assert result.forces and result.rule == "size4-bullet-1"
     assert result.labeling == {"a": 4, "b": 2, "c": 6}
 
@@ -101,11 +112,22 @@ def test_classify_dispatch():
         classify([3, 9, 16, 18, 19, 20])
 
 
-def test_classify_requires_reduced_for_direct_entry_points():
-    with pytest.raises(ValueError):
-        classify_size3(SkipSet.of([2, 4, 6]))
-    with pytest.raises(ValueError):
-        classify_size4(SkipSet.of([2, 4, 6, 8]))
+def test_one_validation_per_verdict(monkeypatch):
+    # a scaled set's cycle is validated once, at the input's own scale
+    module = importlib.import_module("hapdisc.classify")
+    calls = []
+    validate = module.valid_odd_cycle
+
+    def counted(sp):
+        calls.append(sp)
+        return validate(sp)
+
+    monkeypatch.setattr(module, "valid_odd_cycle", counted)
+    for values in ([2, 4, 6], [2, 6, 10, 16]):
+        calls.clear()
+        result = classify(values)
+        assert result.forces
+        assert calls == [result.predicted_cycle]
 
 
 def test_predicted_cycles_validate_with_concrete_starts():
@@ -142,20 +164,20 @@ def test_small_sweep_against_oracle_size3():
     for s in combinations(range(1, 16), 3):
         if math.gcd(*s) != 1:
             continue
-        assert classify_size3(SkipSet.of(s)).forces == oracle_forces(s), s
+        assert classify(s).forces == oracle_forces(s), s
 
 
 def test_small_sweep_against_oracle_size4():
     for s in combinations(range(1, 13), 4):
         if math.gcd(*s) != 1:
             continue
-        assert classify_size4(SkipSet.of(s)).forces == oracle_forces(s), s
+        assert classify(s).forces == oracle_forces(s), s
 
 
 def test_satisfied_bullets_diagnostic():
-    result = classify_size4(SkipSet.of([1, 3, 5, 8]))
+    result = classify([1, 3, 5, 8])
     assert result.satisfied_bullets == ("size4-bullet-4",)
-    assert classify_size4(SkipSet.of([3, 5, 7, 9])).satisfied_bullets == ()
+    assert classify([3, 5, 7, 9]).satisfied_bullets == ()
 
 
 def test_to_json_dict_shape():

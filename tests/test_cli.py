@@ -1,9 +1,14 @@
 import json
+import math
+import sys
 
 import pytest
 
 import hapdisc.cli
 from hapdisc.cli import main
+from hapdisc.pattern import parse_pattern
+from hapdisc.realizability import strict_realizability
+from hapdisc.reduction import ESSInstance, build_d1_instance
 
 
 def run(capsys, *argv):
@@ -60,6 +65,29 @@ def test_check_long_unsigned_pattern(capsys):
     code, out, _ = run(capsys, "check", "-p", "[" + " ".join(["1"] * 1200) + "]")
     assert code == 0
     assert out.startswith("weakly-realizable at 0 via [+1 -1 +1 -1 ")
+
+
+def test_integers_past_the_str_digit_limit(capsys):
+    # pairwise-coprime 84-digit skips whose least start has about 5 000
+    # digits, and 121-digit elements whose M has more than 4 300
+    limit = sys.get_int_max_str_digits()
+    f = math.factorial(60)
+    pattern = "[" + " ".join(str(k * f + 1) for k in range(1, 61)) + "]"
+    elements = [i * 10**120 + i for i in range(1, 11)]
+    code, checked, _ = run(capsys, "check", "-p", pattern)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    code, reduced, _ = run(capsys, "reduce", "-a", ",".join(map(str, elements)), "--json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    start = strict_realizability(parse_pattern(pattern)).witness_start
+    M = build_d1_instance(ESSInstance.of(elements)).M
+    assert min(start, M) > 10**4300
+    sys.set_int_max_str_digits(0)
+    try:
+        status, at, printed, *_ = checked.split()
+        assert (status, at, int(printed)) == ("realizable", "at", start)
+        assert json.loads(reduced)["M"] == M
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_realize_round_trip(capsys):

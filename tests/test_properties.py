@@ -3,7 +3,8 @@ discrepancy verifier against the brute-force oracles.
 
 Pattern skips stay at most 8, so one period of any block graph drawn for
 a pattern is at most 2 * lcm(1..8) = 1680 terms and every period scan
-stays cheap; the block solver gets skip sets of periods up to 2^14.  The
+stays cheap; the block solver gets skip sets of periods up to 2^14, and
+the classifier's cycles are scanned over periods up to 2^16.  The
 oracles below check arcs as well as terms, as the paper's definition
 reads; the library checks terms alone.
 """
@@ -189,6 +190,42 @@ def test_solve_block_matches_oracles(skips):
         assert terms[-1] == terms[0] and _distinct(terms[:-1])
     if len(skips) <= 4:
         assert classify(skips).forces == isinstance(found, OddCycleCertificate)
+
+
+# 3- and 4-sets of skips up to 24, half of them built around a sum
+# p + q = r so that forcing verdicts are common
+random_sets = st.lists(st.integers(1, 24), min_size=3, max_size=4, unique=True)
+sum_sets = (
+    st.tuples(st.integers(1, 11), st.integers(1, 12), st.lists(st.integers(1, 24), max_size=1))
+    .map(lambda t: [t[0], t[1], t[0] + t[1], *t[2]])
+    .filter(lambda s: len(set(s)) == len(s))
+)
+
+
+@PROPERTY
+@given(st.one_of(random_sets, sum_sets), st.integers(1, 6))
+@example([1, 2, 3], 2)
+@example([1, 2, 7, 10], 3)
+@example([1, 3, 5, 8], 2)
+@example([1, 3, 5, 8], 5)
+@example([1, 2, 4, 6], 6)
+def test_classify_certificate_at_any_scale(skips, d):
+    # a forcing verdict's cycle runs in the scaled input's own graph: an
+    # odd zero-sum walk over its skips that closes from its least start
+    # with no repeated term
+    values = [d * v for v in skips]
+    result = classify(values)
+    if not result.forces:
+        assert result.predicted_cycle is None and result.predicted_start is None
+        return
+    cycle, start = result.predicted_cycle, result.predicted_start
+    assert set(cycle.skips) <= set(values) and set(result.labeling.values()) <= set(values)
+    assert len(cycle) % 2 == 1 and cycle.signed_sum == 0
+    assert walk_attempt(cycle, start)
+    terms, _ = _walk(cycle, start)
+    assert terms[-1] == terms[0] and _distinct(terms[:-1])
+    assume(2 * math.lcm(*cycle.skips) <= 2**16)
+    assert start == least_walk_start(cycle)
 
 
 @PROPERTY
