@@ -3,9 +3,9 @@
 A pattern such as ``[2 1 3]`` records consecutive skip sizes along a walk
 in the skip graph; a signed pattern such as ``[+2 +1 -3]`` also fixes the
 direction of each step.  Signed patterns can be realized from a start
-term, producing the sequence of visited terms and the arcs they traverse:
-a ``+a`` step must leave from an even multiple of ``a`` (the left end of
-an a-arc) and a ``-a`` step from an odd multiple (the right end).
+term, producing the sequence of visited terms: a ``+a`` step must leave
+from an even multiple of ``a`` (the left end of an a-arc) and a ``-a``
+step from an odd multiple (the right end).
 """
 
 from __future__ import annotations
@@ -170,17 +170,14 @@ def infer_signs(p: Pattern, start: int) -> SignedPattern:
 class Realization:
     """A signed pattern walked from a concrete start term.
 
-    ``terms[k]`` is the value before step k; ``arcs[k]`` is the unordered
-    interval the step covers, stored as (left endpoint, right endpoint).
-    ``parity_violations`` lists steps leaving from the wrong multiple
-    (odd where an even multiple is required, or vice versa, or from a
-    non-multiple entirely).
+    ``terms[k]`` is the value before step k.  ``parity_violations`` lists
+    steps leaving from the wrong multiple (odd where an even multiple is
+    required, or vice versa, or from a non-multiple entirely).
     """
 
     pattern: SignedPattern
     start: int
     terms: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
     parity_violations: tuple[int, ...]
 
     @property
@@ -203,10 +200,6 @@ class Realization:
         counts = Counter(terms)
         return tuple(sorted(t for t, c in counts.items() if c > 1))
 
-    def repeated_arcs(self) -> tuple[tuple[int, int], ...]:
-        counts = Counter(self.arcs)
-        return tuple(sorted(a for a, c in counts.items() if c > 1))
-
     def is_strict(self) -> bool:
         """True when the walk is parity-valid and repeats no term or arc.
 
@@ -227,19 +220,16 @@ class Realization:
 
 
 def realize(sp: SignedPattern, start: int) -> Realization:
-    """Walk ``sp`` from ``start``, recording terms, arcs and any violations."""
+    """Walk ``sp`` from ``start``, recording terms and any violations."""
     if start < 0:
         raise ValueError(f"start term must be nonnegative, got {start}")
     t = start
     terms = [t]
-    arcs = []
     violations = []
     for k, (sign, skip) in enumerate(sp.steps):
         want = 0 if sign > 0 else skip
         if t < 0 or t % (2 * skip) != want:
             violations.append(k)
-        nxt = t + sign * skip
-        arcs.append((min(t, nxt), max(t, nxt)))
-        terms.append(nxt)
-        t = nxt
-    return Realization(sp, start, tuple(terms), tuple(arcs), tuple(violations))
+        t += sign * skip
+        terms.append(t)
+    return Realization(sp, start, tuple(terms), tuple(violations))

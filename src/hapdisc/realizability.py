@@ -87,14 +87,16 @@ class CycleVerdict:
     reason: str | None = None
 
 
-def _span_conditions(
-    a_first: int, sign_first: int, inner_sum: int, a_last: int, sign_last: int
-) -> tuple[bool, bool]:
-    """Evaluate (divisibility_ok, parity_ok) for a span of the pattern."""
+def _span(
+    i: int, j: int, first: tuple[int, int], inner: int, last: tuple[int, int]
+) -> SubpathReport:
+    """The verdict on the span of steps i..j: ``first`` and ``last`` are its
+    (sign, skip) end steps, ``inner`` the signed sum strictly between them."""
+    (sign_first, a_first), (sign_last, a_last) = first, last
     g = math.gcd(a_first, a_last)
-    if inner_sum % g:
-        return False, False
-    even = (inner_sum // g) % 2 == 0
+    if inner % g:
+        return SubpathReport(i, j, inner, g, False, False)
+    even = (inner // g) % 2 == 0
     va = two_adic_valuation(a_first)
     vb = two_adic_valuation(a_last)
     if va < vb:
@@ -103,7 +105,7 @@ def _span_conditions(
         required = sign_last == 1
     else:
         required = sign_first == -sign_last
-    return True, even == required
+    return SubpathReport(i, j, inner, g, True, even == required)
 
 
 def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:
@@ -113,10 +115,7 @@ def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:
         raise IndexError(f"need 0 <= i < j < {n}, got i={i}, j={j}")
     steps = sp.steps
     inner = sum(sign * skip for sign, skip in steps[i + 1 : j])
-    div_ok, par_ok = _span_conditions(
-        steps[i][1], steps[i][0], inner, steps[j][1], steps[j][0]
-    )
-    return SubpathReport(i, j, inner, math.gcd(steps[i][1], steps[j][1]), div_ok, par_ok)
+    return _span(i, j, steps[i], inner, steps[j])
 
 
 def basic_parity_test(sp: SignedPattern) -> bool:
@@ -144,12 +143,11 @@ def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
     """``check_subpath(sp, i, j)`` for every i < j, ordered by i and then
     j; a running intermediate sum keeps the whole scan O(n^2)."""
     steps = sp.steps
-    for i, (sign_i, a_i) in enumerate(steps):
+    for i, first in enumerate(steps):
         inner = 0
         for j in range(i + 1, len(steps)):
+            yield _span(i, j, first, inner, steps[j])
             sign_j, a_j = steps[j]
-            div_ok, par_ok = _span_conditions(a_i, sign_i, inner, a_j, sign_j)
-            yield SubpathReport(i, j, inner, math.gcd(a_i, a_j), div_ok, par_ok)
             inner += sign_j * a_j
 
 
@@ -282,13 +280,8 @@ def both_paths_agree(sp: SignedPattern, i: int, j: int) -> bool:
     """
     if sp.signed_sum != 0:
         raise ValueError("pattern is not a cycle: signed sum is nonzero")
-    n = len(sp)
-    if not (0 <= i < j < n):
-        raise IndexError(f"need 0 <= i < j < {n}, got i={i}, j={j}")
-    steps = sp.steps
-    (sign_i, a_i), (sign_j, a_j) = steps[i], steps[j]
-    inner = sum(sign * skip for sign, skip in steps[i + 1 : j])
-    outer = -(sign_i * a_i + inner + sign_j * a_j)
-    via_inner = _span_conditions(a_i, sign_i, inner, a_j, sign_j)
-    via_outer = _span_conditions(a_j, sign_j, outer, a_i, sign_i)
-    return via_inner == via_outer
+    via_inner = check_subpath(sp, i, j)
+    # the steps outside i..j sum to minus steps i..j on a zero-sum cycle
+    outer = -sum(sign * skip for sign, skip in sp.steps[i : j + 1])
+    via_outer = _span(j, i, sp.steps[j], outer, sp.steps[i])
+    return via_inner.reason == via_outer.reason

@@ -33,8 +33,8 @@ from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_
 from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
-    _span_conditions,
     _subpath_reports,
+    check_subpath,
     step_congruence,
     strict_realizability,
     valid_odd_cycle,
@@ -72,14 +72,14 @@ class SearchResult:
         }
 
 
-def _window(width: int, match, steps: bool = False):
-    """Scan for the first k whose ``width`` consecutive skips (or signed
-    steps) from k satisfy ``match``; return the span (k, k + width - 1)."""
+def _window(width: int, match):
+    """Scan for the first k whose ``width`` consecutive skips from k
+    satisfy ``match``; return the span (k, k + width - 1)."""
 
     def scan(p):
-        seq = p.steps if steps else p.skips
-        for k in range(len(seq) - width + 1):
-            if match(*seq[k : k + width]):
+        skips = p.skips
+        for k in range(len(skips) - width + 1):
+            if match(*skips[k : k + width]):
                 return k, k + width - 1
         return None
 
@@ -99,11 +99,16 @@ def _adjacent_parity(same_sign: bool):
     """Adjacent steps failing the parity condition, with agreeing signs
     (PLUS-PLUS) or opposite ones (CLASS-SIGN)."""
 
-    def match(x: tuple[int, int], y: tuple[int, int]) -> bool:
-        (s1, a), (s2, b) = x, y
-        return (s1 == s2) == same_sign and not _span_conditions(a, s1, 0, b, s2)[1]
+    def scan(p):
+        signs = p.signs
+        for k in range(len(signs) - 1):
+            if (signs[k] == signs[k + 1]) != same_sign:
+                continue
+            if not check_subpath(p, k, k + 1).parity_ok:
+                return k, k + 1
+        return None
 
-    return _window(2, match, steps=True)
+    return scan
 
 
 def _gcd_span_signed(p):

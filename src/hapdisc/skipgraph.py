@@ -9,15 +9,15 @@ an odd cycle (the skip set forces discrepancy two).  One BFS over the
 block, ``solve_block``, returns whichever of the two certificates exists.
 
 Adjacency is computed on demand from divisibility, never materialized;
-a vertex that is a multiple of s has exactly one s-arc on each side
-pattern, so degrees are at most |S|.
+a vertex that is a multiple of s has exactly one s-neighbour, so degrees
+are at most |S|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class SkipGraph:
     """One period block of the graph induced by a skip set."""
 
     skips: tuple[int, ...]
-    lcm: int
     period: int
 
     def neighbors(self, v: int) -> list[int]:
@@ -53,26 +52,13 @@ class SkipGraph:
                 out.append(v + s if q % 2 == 0 else v - s)
         return out
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All arcs of one block as (left, right) pairs."""
-        for s in self.skips:
-            for m in range(self.lcm // s):
-                left = 2 * m * s
-                yield left, left + s
-
-    def edge_count(self, s: int) -> int:
-        if s not in self.skips:
-            raise ValueError(f"{s} is not in the skip set {self.skips}")
-        return self.lcm // s
-
 
 def build_graph(skips: Iterable[int], cap: int = DEFAULT_PERIOD_CAP) -> SkipGraph:
     ss = sorted_skips(skips)
-    lcm = math.lcm(*ss)
-    period = 2 * lcm
+    period = 2 * math.lcm(*ss)
     if period > cap:
         raise PeriodCapExceeded(period, cap)
-    return SkipGraph(ss, lcm, period)
+    return SkipGraph(ss, period)
 
 
 @dataclass

@@ -37,6 +37,19 @@ def walk_exists(sp: SignedPattern) -> bool:
     return least_walk_start(sp) is not None
 
 
+def span_walk_exists(first: tuple[int, int], inner: int, last: tuple[int, int]) -> bool:
+    """Whether two (sign, skip) steps with signed sum ``inner`` between
+    them can both leave from the multiple their signs require: scan every
+    start in one period of the pair."""
+    (sign_i, a_i), (sign_j, a_j) = first, last
+    want_i = 0 if sign_i > 0 else a_i
+    want_j = 0 if sign_j > 0 else a_j
+    return any(
+        t % (2 * a_i) == want_i and (t + sign_i * a_i + inner) % (2 * a_j) == want_j
+        for t in range(math.lcm(2 * a_i, 2 * a_j))
+    )
+
+
 def discrepancy_scan(values: list[int], skips: list[int], horizon: int) -> int:
     """Max |partial sum| over progressions s, 2s, ... up to the horizon,
     term by term; position i reads the color of vertex -i mod period."""

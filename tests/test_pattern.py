@@ -79,7 +79,6 @@ def test_realize_path():
     assert walk.terms == (1, 0, 3, 2)
     assert walk.is_parity_valid
     assert not walk.repeated_terms()
-    assert not walk.repeated_arcs()
     assert not walk.is_closed
 
 
@@ -91,9 +90,9 @@ def test_realize_closed_walk():
     assert walk.repeated_terms(as_cycle=True) == ()
 
 
-def test_realize_flags_repeated_arc():
+def test_realize_flags_repeated_term_of_retraced_arc():
     walk = realize(parse_pattern("[+1 -1]"), 0)
-    assert walk.repeated_arcs() == ((0, 1),)
+    assert walk.repeated_terms() == (0,)
     assert walk.is_parity_valid
 
 
@@ -146,7 +145,6 @@ def test_repeat_flags_are_start_independent():
         assert w2.is_parity_valid
         assert len(w1.repeated_terms()) == len(w2.repeated_terms())
         assert len(w1.repeated_terms(as_cycle=True)) == len(w2.repeated_terms(as_cycle=True))
-        assert len(w1.repeated_arcs()) == len(w2.repeated_arcs())
 
 
 def test_bold_path_start_is_derivable():

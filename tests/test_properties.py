@@ -25,6 +25,7 @@ from hapdisc.realizability import (
     FORBIDDEN,
     REALIZABLE,
     WEAKLY_REALIZABLE,
+    _subpath_reports,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -41,6 +42,7 @@ from oracles import (
     brute_congruence_solution,
     discrepancy_scan,
     least_walk_start,
+    span_walk_exists,
     walk_attempt,
 )
 
@@ -135,6 +137,24 @@ def test_signed_verdict_matches_walk_scan(sp):
         n = len(sp)
         first = next((i, j) for i in range(n) for j in range(i + 1, n) if not check_subpath(sp, i, j).ok)
         assert strict_realizability(sp).failure == weak.failure == check_subpath(sp, *first)
+
+
+@PROPERTY
+@given(signed_patterns)
+def test_span_verdicts_match_two_step_scan(sp):
+    # a span passes exactly when its two end steps can both leave from the
+    # multiples their signs require, with the inner sum between them; the
+    # O(n^2) scan reports every span, in order, as check_subpath does
+    steps = sp.steps
+    n = len(sp)
+    reports = list(_subpath_reports(sp))
+    assert [(r.i, r.j) for r in reports] == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for report in reports:
+        i, j = report.i, report.j
+        inner = sum(sign * skip for sign, skip in steps[i + 1 : j])
+        assert report == check_subpath(sp, i, j)
+        assert report.divisibility_ok == (inner % math.gcd(steps[i][1], steps[j][1]) == 0)
+        assert report.ok == span_walk_exists(steps[i], inner, steps[j])
 
 
 @PROPERTY
