@@ -213,8 +213,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _read_coloring(path: str) -> Coloring:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except OSError as exc:
+        raise UsageError(f"cannot read coloring file {path}: {exc.strerror}")
     values = []
     for tok in tokens:
         if tok in ("+1", "1", "+"):

@@ -156,21 +156,24 @@ def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
 
     For the span (i, j) the realizable intermediate sums modulo
     gcd(a_i, a_j) are exactly those reachable by +/- choices, so an empty
-    intersection with 0 is a sign-independent obstruction.
+    intersection with 0 is a sign-independent obstruction.  One pass per
+    left end i keeps one set of reachable residues per distinct gcd, folds
+    each inner skip into it and drops it after that gcd's last span, so
+    every set is folded once over that gcd's longest span: never more work
+    than rebuilding the residues of that span alone.
     """
     skips = p.skips
-    n = len(skips)
-    for i in range(n):
-        for j in range(i + 2, n):
-            g = math.gcd(skips[i], skips[j])
-            reachable = {0}
-            for x in skips[i + 1 : j]:
-                reachable = {(r + x) % g for r in reachable} | {
-                    (r - x) % g for r in reachable
-                }
-            if 0 not in reachable:
-                inner = sum(skips[i + 1 : j])
+    for i, a_i in enumerate(skips):
+        last = {math.gcd(a_i, a_j): j for j, a_j in enumerate(skips[i + 1 :], i + 1)}
+        reachable = dict.fromkeys(last, {0})
+        inner = 0
+        for j, x in enumerate(skips[i + 1 :], i + 1):
+            g = math.gcd(a_i, x)
+            if 0 not in (reachable.pop(g) if last[g] == j else reachable[g]):
                 return SubpathReport(i, j, inner, g, False, False)
+            for m, rs in reachable.items():
+                reachable[m] = {(r + s) % m for r in rs for s in (x, -x)}
+            inner += x
     return None
 
 

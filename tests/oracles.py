@@ -8,6 +8,7 @@ purpose so the fast paths have something honest to disagree with.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from hapdisc.pattern import SignedPattern
@@ -48,6 +49,21 @@ def span_walk_exists(first: tuple[int, int], inner: int, last: tuple[int, int]) 
         t % (2 * a_i) == want_i and (t + sign_i * a_i + inner) % (2 * a_j) == want_j
         for t in range(math.lcm(2 * a_i, 2 * a_j))
     )
+
+
+def sign_free_span_failure(skips: list[int]) -> tuple[int, int, int, int] | None:
+    """The first span (i, j) with j >= i + 2, by i and then j, where no
+    +/- signing of the inner skips sums to a multiple of gcd(a_i, a_j), as
+    (i, j, plain inner sum, gcd); every signing is tried."""
+    n = len(skips)
+    for i in range(n):
+        for j in range(i + 2, n):
+            g = math.gcd(skips[i], skips[j])
+            inner = skips[i + 1 : j]
+            signings = itertools.product((1, -1), repeat=len(inner))
+            if all(sum(s * x for s, x in zip(signs, inner)) % g for signs in signings):
+                return i, j, sum(inner), g
+    return None
 
 
 def discrepancy_scan(values: list[int], skips: list[int], horizon: int) -> int:

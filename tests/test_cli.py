@@ -6,8 +6,8 @@ import pytest
 
 import hapdisc.cli
 from hapdisc.cli import main
-from hapdisc.pattern import parse_pattern
-from hapdisc.realizability import strict_realizability
+from hapdisc.pattern import Pattern, parse_pattern
+from hapdisc.realizability import SubpathReport, strict_realizability
 from hapdisc.reduction import ESSInstance, build_d1_instance
 
 
@@ -65,6 +65,16 @@ def test_check_long_unsigned_pattern(capsys):
     code, out, _ = run(capsys, "check", "-p", "[" + " ".join(["1"] * 1200) + "]")
     assert code == 0
     assert out.startswith("weakly-realizable at 0 via [+1 -1 +1 -1 ")
+
+
+def test_check_long_forbidden_unsigned_pattern(capsys):
+    # the one failing span starts at step 400, so the sign-free scan
+    # passes every span of the 400 ones before it reaches that span
+    skips = (1,) * 400 + (2, 1, 2)
+    assert strict_realizability(Pattern(skips)).failure == SubpathReport(400, 402, 1, 2, False, False)
+    code, out, _ = run(capsys, "check", "-p", "[" + " ".join(map(str, skips)) + "]")
+    assert code == 0
+    assert out == "forbidden (divisibility fails on steps 400..402)"
 
 
 def test_integers_past_the_str_digit_limit(capsys):
@@ -218,6 +228,14 @@ def test_verify_detects_bad_coloring(capsys, tmp_path):
     path.write_text(" ".join(["+1"] * 24))
     code, data = run_json(capsys, "verify", "--coloring", str(path), "-s", "2,3,4", "--horizon", "240")
     assert data["max_discrepancy"] >= 2
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
+def test_verify_unreadable_coloring_is_usage_error(capsys, tmp_path, name):
+    path = tmp_path / name
+    code, _, err = run(capsys, "verify", "--coloring", str(path), "-s", "2,3,4", "--horizon", "240")
+    assert code == 2
+    assert err.startswith("error: cannot read coloring file")
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from hapdisc.realizability import (
     FORBIDDEN,
     REALIZABLE,
     WEAKLY_REALIZABLE,
+    SubpathReport,
+    _sign_free_divisibility_failure,
     _subpath_reports,
     check_subpath,
     strict_realizability,
@@ -42,6 +44,7 @@ from oracles import (
     brute_congruence_solution,
     discrepancy_scan,
     least_walk_start,
+    sign_free_span_failure,
     span_walk_exists,
     walk_attempt,
 )
@@ -155,6 +158,31 @@ def test_span_verdicts_match_two_step_scan(sp):
         assert report == check_subpath(sp, i, j)
         assert report.divisibility_ok == (inner % math.gcd(steps[i][1], steps[j][1]) == 0)
         assert report.ok == span_walk_exists(steps[i], inner, steps[j])
+
+
+# 40-digit skips sharing the factor BIG: only +/-BIG three times sits
+# between 5 BIG and 10 BIG, and no signing of it is a multiple of 5 BIG
+BIG = 10**39 + 3
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=9))
+@example([5, 1, 10])
+# i = 0 fails only at j = 4, after i = 1 has failed at j = 3
+@example([2, 3, 1, 3, 2])
+@example([5 * BIG, BIG, BIG, BIG, 10 * BIG])
+def test_sign_free_failure_matches_signing_scan(skips):
+    # the first span no signing of its inner skips makes divisible, by i
+    # and then j, and that span is the unsigned pattern's forbidden report
+    p = Pattern(tuple(skips))
+    expected = sign_free_span_failure(skips)
+    report = _sign_free_divisibility_failure(p)
+    if expected is None:
+        assert report is None
+        return
+    assert report == SubpathReport(*expected, False, False)
+    verdict = strict_realizability(p)
+    assert (verdict.status, verdict.failure) == (FORBIDDEN, report)
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -61,6 +62,21 @@ def test_rule_scan_span_is_reported():
     verdict = rule_scan(parse_pattern("[9 4 7 7 2]"))
     assert verdict.rule_id == "AA"
     assert verdict.span == (2, 3)
+
+
+def test_rule_scan_drops_each_gcd_after_its_last_span():
+    # gcd(3B, 5B) = B is needed only for the span (0, 2); the +/-3**k after
+    # it reach 2**20 distinct residues mod B, a set the scan must never build
+    big = 10**39 + 3
+    p = Pattern((3 * big, big, 5 * big) + tuple(3**k for k in range(1, 21)))
+    tracemalloc.start()
+    try:
+        verdict = rule_scan(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == RuleVerdict(False, None, None)
+    assert peak < 1_000_000
 
 
 def test_rule_soundness_exhaustive_small():
