@@ -4,17 +4,18 @@ Verbs map one-to-one onto the library: classify (closed forms, sizes
 1-4), color / cycle (skip-graph block), check (pattern realizability),
 realize (walk a pattern from a start term), longest (pruned search),
 reduce (equal-sum-subsets transformation) and verify (discrepancy of a
-stored coloring).  Output is a human-readable line by default and JSON
-with --json.  Exit codes: 0 success, 1 when classify/color establish
-that the set forces discrepancy two (so shell scripts can branch on it),
-2 for usage or input errors.
+stored coloring).  Each verb returns (payload, human line, exit code)
+and prints nothing; ``main`` writes the one stdout line, the human line
+by default or the payload as JSON with --json, and turns a ValueError
+into ``error: ...`` on stderr.  Exit codes: 0 success, 1 when
+classify/color establish that the set forces discrepancy two (so shell
+scripts can branch on it), 2 for usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -39,8 +40,6 @@ from .skipgraph import (
     verify_discrepancy,
 )
 
-ENV_MAX_PERIOD = "HAPDISC_MAX_PERIOD"
-
 
 class UsageError(ValueError):
     pass
@@ -54,22 +53,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     if not values:
         raise UsageError(f"{what} must be nonempty")
     return values
-
-
-def _period_cap(args) -> int:
-    if getattr(args, "max_period", None) is not None:
-        return args.max_period
-    env = os.environ.get(ENV_MAX_PERIOD)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_MAX_PERIOD} must be an integer, got {env!r}")
-    return DEFAULT_PERIOD_CAP
-
-
-def _emit(args, payload: dict, human: str) -> None:
-    print(json.dumps(payload) if args.json else human)
 
 
 def _mirrored(args, period: int, found):
@@ -87,107 +70,82 @@ def _mirrored(args, period: int, found):
     return OddCycleCertificate(sp, period - found.start)
 
 
-def _emit_cycle(args, key: str, cert: OddCycleCertificate) -> None:
-    _emit(
-        args,
-        {key: cert.to_json_dict()},
-        f"odd cycle: {format_pattern(cert.signed_pattern)} at {cert.start}",
-    )
+def _cycle_line(cert: OddCycleCertificate) -> str:
+    return f"odd cycle: {format_pattern(cert.signed_pattern)} at {cert.start}"
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str, int]:
     result = classify(_parse_int_list(args.skips, "skip set"))
-    if args.json:
-        print(json.dumps(result.to_json_dict()))
-    elif result.forces:
-        assert result.predicted_cycle is not None
+    if result.forces:
         labeling = ", ".join(f"{k}={v}" for k, v in (result.labeling or {}).items())
-        print(
+        human = (
             f"forces discrepancy two: yes (rule {result.rule}; {labeling}; "
             f"cycle {format_pattern(result.predicted_cycle)} at {result.predicted_start})"
         )
     else:
-        print("forces discrepancy two: no")
-    return 1 if result.forces else 0
+        human = "forces discrepancy two: no"
+    return result.to_json_dict(), human, int(result.forces)
 
 
-def _cmd_color(args) -> int:
-    g = build_graph(_parse_int_list(args.skips, "skip set"), _period_cap(args))
-    found = _mirrored(args, g.period, solve_block(g))
+def _block(args) -> tuple[int, Coloring | OddCycleCertificate]:
+    g = build_graph(_parse_int_list(args.skips, "skip set"), args.max_period)
+    return g.period, _mirrored(args, g.period, solve_block(g))
+
+
+def _cmd_color(args) -> tuple[dict, str, int]:
+    period, found = _block(args)
     if isinstance(found, Coloring):
         line = found.line()
-        _emit(args, {"period": g.period, "coloring": line}, line)
-        return 0
-    _emit_cycle(args, "odd_cycle", found)
-    return 1
+        return {"period": period, "coloring": line}, line, 0
+    return {"odd_cycle": found.to_json_dict()}, _cycle_line(found), 1
 
 
-def _cmd_cycle(args) -> int:
-    g = build_graph(_parse_int_list(args.skips, "skip set"), _period_cap(args))
-    found = _mirrored(args, g.period, solve_block(g))
+def _cmd_cycle(args) -> tuple[dict, str, int]:
+    _, found = _block(args)
     if isinstance(found, Coloring):
-        _emit(args, {"certificate": None}, "none")
-        return 0
-    _emit_cycle(args, "certificate", found)
-    return 0
+        return {"certificate": None}, "none", 0
+    return {"certificate": found.to_json_dict()}, _cycle_line(found), 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, str, int]:
     verdict = strict_realizability(parse_pattern(args.pattern))
-    payload = verdict.to_json_dict()
-    if verdict.status == "forbidden":
-        assert verdict.failure is not None
-        human = (
-            f"forbidden ({verdict.failure.reason} fails on steps "
-            f"{verdict.failure.i}..{verdict.failure.j})"
-        )
+    failure = verdict.failure
+    if failure is not None:
+        human = f"forbidden ({failure.reason} fails on steps {failure.i}..{failure.j})"
     else:
-        human = f"{verdict.status} at {verdict.witness_start}"
-        if verdict.signed is not None:
-            human += f" via {format_pattern(verdict.signed)}"
-    _emit(args, payload, human)
-    return 0
+        human = f"{verdict.status} at {verdict.witness_start} via {format_pattern(verdict.signed)}"
+    return verdict.to_json_dict(), human, 0
 
 
-def _cmd_realize(args) -> int:
-    p = parse_pattern(args.pattern)
+def _cmd_realize(args) -> tuple[dict, str, int]:
+    p, start = parse_pattern(args.pattern), args.start
     if isinstance(p, Pattern):
-        if args.start is None:
+        if start is None:
             raise UsageError("--start is required for unsigned patterns")
-        sp = infer_signs(p, args.start)
-        start = args.start
-    else:
-        sp = p
-        if args.start is not None:
-            start = args.start
-        else:
-            verdict = weakly_realizable(sp)
-            if verdict.status == "forbidden":
-                raise UsageError("pattern is not weakly realizable; give --start explicitly")
-            assert verdict.witness_start is not None
-            start = verdict.witness_start
-    walk = realize(sp, start)
-    human = f"{format_pattern(sp)} at {start}: terms {' '.join(map(str, walk.terms))}"
+        p = infer_signs(p, start)
+    elif start is None:
+        start = weakly_realizable(p).witness_start
+        if start is None:
+            raise UsageError("pattern is not weakly realizable; give --start explicitly")
+    walk = realize(p, start)
+    human = f"{format_pattern(p)} at {start}: terms {' '.join(map(str, walk.terms))}"
     if walk.parity_violations:
         human += f" (parity violations at {list(walk.parity_violations)})"
-    _emit(args, walk.to_json_dict(), human)
-    return 0
+    return walk.to_json_dict(), human, 0
 
 
-def _cmd_longest(args) -> int:
+def _cmd_longest(args) -> tuple[dict, str, int]:
     skips = _parse_int_list(args.skips, "skip set")
     if args.kind == "path":
         result = longest_path(skips, args.max_len)
     else:
         result = longest_odd_cycle(skips, args.max_len)
     if result is None:
-        _emit(args, {"result": None}, "none")
-        return 0
-    _emit(args, result.to_json_dict(), result.table_row(len(set(skips))))
-    return 0
+        return {"result": None}, "none", 0
+    return result.to_json_dict(), result.table_row(len(set(skips))), 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[dict, str, int]:
     inst = ESSInstance.of(_parse_int_list(args.elements, "instance"))
     ri = build_d1_instance(inst)
     witness = ess_solve(inst)
@@ -208,8 +166,7 @@ def _cmd_reduce(args) -> int:
         human += f" ess: positive X={list(xv)} Y={list(yv)} cycle={format_pattern(cycle)}"
     else:
         human += " ess: negative"
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
 def _read_coloring(path: str) -> Coloring:
@@ -231,16 +188,12 @@ def _read_coloring(path: str) -> Coloring:
     return Coloring.from_values(values)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, str, int]:
     coloring = _read_coloring(args.coloring)
     coloring = _mirrored(args, coloring.period, coloring)
     worst = verify_discrepancy(coloring, _parse_int_list(args.skips, "skip set"), args.horizon)
-    _emit(
-        args,
-        {"max_discrepancy": worst, "horizon": args.horizon},
-        f"max |d(s,k)| = {worst} up to horizon {args.horizon}",
-    )
-    return 0
+    human = f"max |d(s,k)| = {worst} up to horizon {args.horizon}"
+    return {"max_discrepancy": worst, "horizon": args.horizon}, human, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -258,9 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-period",
             type=int,
-            default=None,
-            help=f"largest allowed period 2*lcm(S); default {DEFAULT_PERIOD_CAP} "
-            f"(env {ENV_MAX_PERIOD})",
+            default=DEFAULT_PERIOD_CAP,
+            help=f"largest allowed period 2*lcm(S); default {DEFAULT_PERIOD_CAP}",
         )
         p.add_argument(
             "--erdos-indexing",
@@ -331,7 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            payload, human, code = args.func(args)
+            print(json.dumps(payload) if args.json else human)
+            return code
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -160,7 +160,9 @@ def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
     left end i keeps one set of reachable residues per distinct gcd, folds
     each inner skip into it and drops it after that gcd's last span, so
     every set is folded once over that gcd's longest span: never more work
-    than rebuilding the residues of that span alone.
+    than rebuilding the residues of that span alone.  That is still
+    subset-sum modulo the gcd, so when the end skips of a span (i, j) share
+    a large gcd its set can hold up to 2^(j-i-1) residues.
     """
     skips = p.skips
     for i, a_i in enumerate(skips):

@@ -9,6 +9,7 @@ from hapdisc.cli import main
 from hapdisc.pattern import Pattern, parse_pattern
 from hapdisc.realizability import SubpathReport, strict_realizability
 from hapdisc.reduction import ESSInstance, build_d1_instance
+from hapdisc.skipgraph import build_graph, two_color
 
 
 def run(capsys, *argv):
@@ -100,6 +101,19 @@ def test_integers_past_the_str_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "argv", [["check", "-p", "[0]"], ["classify"]], ids=["value-error", "argparse-error"]
+)
+def test_digit_limit_restored_on_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_realize_round_trip(capsys):
     code, data = run_json(capsys, "realize", "-p", "[2 1 3]", "--start", "0")
     assert code == 0
@@ -180,13 +194,16 @@ def test_max_period_zero_is_a_cap(capsys):
     assert "exceeds the cap 0" in err
 
 
-def test_max_period_env(capsys, monkeypatch):
+@pytest.mark.parametrize("verb", ["color", "cycle"])
+def test_max_period_default_is_the_only_cap(capsys, monkeypatch, verb):
     monkeypatch.setenv("HAPDISC_MAX_PERIOD", "10")
-    code, _, err = run(capsys, "color", "-s", "2,3,4")
-    assert code == 2
-    monkeypatch.setenv("HAPDISC_MAX_PERIOD", "100")
-    code, _, _ = run(capsys, "color", "-s", "2,3,4")
+    code, _, _ = run(capsys, verb, "-s", "2,3,4")
     assert code == 0
+    # period 2**25 is refused before a block is built
+    monkeypatch.setattr(hapdisc.cli, "solve_block", lambda g: pytest.fail("block built"))
+    code, out, err = run(capsys, verb, "-s", str(2**24))
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 16777216" in err
 
 
 def test_reduce_json_schema(capsys):
@@ -249,6 +266,38 @@ def test_color_erdos_certificate_is_mirrored(capsys, verb, key, exit_code):
     cert = data[key]
     assert cert["start"] == 12
     assert cert["signs"] == [-1, -1, 1]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        (["classify", "-s", "1,2,3"], 1),
+        (["color", "-s", "2,3,4"], 0),
+        (["color", "-s", "1,2,3"], 1),
+        (["cycle", "-s", "1,3,5,8"], 0),
+        (["check", "-p", "[5 1 10]"], 0),
+        (["realize", "-p", "[2 1 3]", "--start", "0"], 0),
+        (["longest", "-s", "1,5,7"], 0),
+        (["reduce", "-a", "1,2,3"], 0),
+        (["verify", "--coloring", "COLORING", "-s", "2,3,4", "--horizon", "240"], 0),
+    ],
+    ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else None,
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_output_contract(capsys, tmp_path, argv, exit_code, as_json):
+    # every verb writes one stdout line, nothing on stderr, and the
+    # README's exit code, in both output modes
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text(two_color(build_graph((2, 3, 4))).line() + "\n")
+    argv = [str(coloring) if a == "COLORING" else a for a in argv]
+    code = main(argv + ["--json"] if as_json else argv)
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.err == ""
+    lines = captured.out.split("\n")
+    assert len(lines) == 2 and lines[0] and lines[1] == ""
+    if as_json:
+        assert isinstance(json.loads(lines[0]), dict)
 
 
 def test_usage_error_on_bad_skips(capsys):
