@@ -184,7 +184,20 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     -), each with its least witness start.  A signed pattern offers its own
     sign at each step, an unsigned one + then -; one congruence merge per
     step prunes a failing prefix with its subtree.  A stack frame is (sign
-    that reached it, untried signs, step offset, merged congruence)."""
+    that reached it, untried signs, step offset, merged congruence).
+
+    At most two signings are yielded (proved).  A start fixes its walk,
+    since a step leaves up from an even multiple of its skip and down from
+    an odd one.  Let two walks first differ in sign at step k: their gap
+    is a multiple of every 2a_i (i < k) and an odd multiple of a_k, so
+    v2(a_k) > v2(a_i) for i < k.  From step k on the gap keeps 2-adic
+    valuation v2(a_k): equal signs leave it alone, and opposite signs need
+    it to be an odd multiple of a_j and leave it one.  Both walks stand on
+    multiples of every later a_j, so v2(a_j) <= v2(a_k).  Of three
+    signings, two agree at the first step k where the three are not all
+    equal, and first differ at some k' > k, so v2(a_k') > v2(a_k) >=
+    v2(a_k'), a contradiction.  Every prefix is a pattern too, so at most
+    two prefixes per depth stay live and the walk makes O(n) merges."""
     skips = p.skips
     n = len(skips)
     offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * n

@@ -33,6 +33,7 @@ from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_
 from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
+    _signings,
     _subpath_reports,
     check_subpath,
     step_congruence,
@@ -117,6 +118,10 @@ def _gcd_span_signed(p):
 
 
 def _gcd_span_unsigned(p):
+    # A weakly realizable signing passes divisibility on every span, so
+    # the exponential scan runs only when the O(n) signing walk finds none.
+    if next(_signings(p), None) is not None:
+        return None
     failure = _sign_free_divisibility_failure(p)
     return None if failure is None else (failure.i, failure.j)
 

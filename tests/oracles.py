@@ -51,6 +51,18 @@ def span_walk_exists(first: tuple[int, int], inner: int, last: tuple[int, int]) 
     )
 
 
+def weak_signings(skips: list[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Every one of the 2^n signings of ``skips`` that walks somewhere, in
+    lexicographic order (+ before -), each with its least start in one
+    period of the block graph."""
+    found = []
+    for signs in itertools.product((1, -1), repeat=len(skips)):
+        start = least_walk_start(SignedPattern(tuple(zip(signs, skips))))
+        if start is not None:
+            found.append((signs, start))
+    return found
+
+
 def sign_free_span_failure(skips: list[int]) -> tuple[int, int, int, int] | None:
     """The first span (i, j) with j >= i + 2, by i and then j, where no
     +/- signing of the inner skips sums to a multiple of gcd(a_i, a_j), as

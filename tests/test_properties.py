@@ -27,6 +27,7 @@ from hapdisc.realizability import (
     WEAKLY_REALIZABLE,
     SubpathReport,
     _sign_free_divisibility_failure,
+    _signings,
     _subpath_reports,
     check_subpath,
     strict_realizability,
@@ -47,6 +48,7 @@ from oracles import (
     sign_free_span_failure,
     span_walk_exists,
     walk_attempt,
+    weak_signings,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -115,11 +117,8 @@ def test_unsigned_verdict_is_best_signing(p):
     # the least strict signing, else the least weak one, else forbidden,
     # with signings in lexicographic order (+ before -)
     best = (FORBIDDEN, None, None)
-    for signs in itertools.product((1, -1), repeat=len(p)):
+    for signs, start in weak_signings(p.skips):
         sp = SignedPattern(tuple(zip(signs, p.skips)))
-        start = least_walk_start(sp)
-        if start is None:
-            continue
         if _distinct(_walk(sp, start)[0]):
             best = (REALIZABLE, start, signs)
             break
@@ -128,6 +127,24 @@ def test_unsigned_verdict_is_best_signing(p):
     verdict = strict_realizability(p)
     signs = None if verdict.signed is None else verdict.signed.signs
     assert (verdict.status, verdict.witness_start, signs) == best
+
+
+# Skips dividing 240 keep a period scan within 480 terms and still span
+# 2-adic classes 0-4: two signings can first differ only at a skip whose
+# class exceeds every earlier one.
+signing_skips = st.lists(
+    st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16)), min_size=1, max_size=7
+)
+
+
+@PROPERTY
+@given(signing_skips)
+@example([1, 2, 4, 8, 16])
+@example([3, 2, 1, 4])
+def test_signings_match_brute_force_and_number_at_most_two(skips):
+    found = [(sp.signs, start) for sp, start in _signings(Pattern(tuple(skips)))]
+    assert found == weak_signings(skips)
+    assert len(found) <= 2
 
 
 @PROPERTY

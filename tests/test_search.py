@@ -79,6 +79,28 @@ def test_rule_scan_drops_each_gcd_after_its_last_span():
     assert peak < 1_000_000
 
 
+def test_rule_scan_skips_sign_free_scan_when_a_signing_exists():
+    # [5g 3 9 ... 3**21 7g], with g the signed sum of a strict signing of
+    # [3 9 ... 3**21] stripped of its factors 2 and 3, is realizable; its
+    # span (0, 22) would need all 2**21 signed inner sums modulo g
+    inner = Pattern(tuple(3**k for k in range(1, 22)))
+    g = abs(strict_realizability(inner).signed.signed_sum)
+    for factor in (2, 3):
+        while g % factor == 0:
+            g //= factor
+    p = Pattern((5 * g,) + inner.skips + (7 * g,))
+    assert g == 2615088301
+    assert strict_realizability(p).status == "realizable"
+    tracemalloc.start()
+    try:
+        verdict = rule_scan(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == RuleVerdict(False, None, None)
+    assert peak < 1_000_000
+
+
 def test_rule_soundness_exhaustive_small():
     # nothing rejected by the rules admits a strictly realizable signing
     for length in range(2, 5):

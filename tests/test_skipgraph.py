@@ -1,9 +1,13 @@
+import hashlib
 import math
 import random
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from hapdisc import skipgraph
 from hapdisc.pattern import format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
 from hapdisc.skipgraph import (
@@ -195,3 +199,63 @@ def test_coloring_line_round_trip():
     assert len(tokens) == g.period
     rebuilt = Coloring.from_values([1 if t == "+1" else -1 for t in tokens])
     assert np.array_equal(rebuilt.values, coloring.values)
+
+
+def _certificate_bytes(found):
+    if isinstance(found, Coloring):
+        return found.values.tobytes()
+    return repr(found)
+
+
+def test_union_find_matches_bfs_on_small_sets(monkeypatch):
+    # every block below 2**16 takes the BFS; the union-find must give the
+    # same coloring, or the same certificate through its BFS restart
+    sets = [s for k in (2, 3, 4) for s in combinations(range(1, 14), k) if math.gcd(*s) == 1]
+    assert max(2 * math.lcm(*s) for s in sets) < skipgraph._VECTOR_MIN_PERIOD
+    by_bfs = [_certificate_bytes(solve_block(build_graph(s))) for s in sets]
+    monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", 1)
+    by_union_find = [_certificate_bytes(solve_block(build_graph(s))) for s in sets]
+    assert by_union_find == by_bfs
+    assert sum(isinstance(found, str) for found in by_bfs) == 260
+
+
+@pytest.mark.parametrize(
+    "skips, digest",
+    [((1, 5, 23, 43, 53), "294167fb12f6295d"), ((7, 9, 11, 13, 16), "23ef11b87552efd7")],
+)
+def test_large_block_coloring_pinned(skips, digest):
+    # recorded from the BFS over the whole block
+    coloring = solve_block(build_graph(skips))
+    assert isinstance(coloring, Coloring)
+    assert hashlib.sha256(coloring.line().encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "skips, first, pattern, start",
+    [
+        ((13, 24, 27, 51), 4080, "[+24 +27 -51]", 4080),
+        ((1, 5, 21, 34, 40, 54), 23760, "[+40 +34 +1 -21 -54]", 23760),
+    ],
+)
+def test_large_block_certificate_pinned(skips, first, pattern, start):
+    # recorded from the BFS over the whole block; the union-find starts the
+    # BFS at ``first``, the least vertex of the first odd component
+    g = build_graph(skips)
+    assert g.period >= skipgraph._VECTOR_MIN_PERIOD
+    assert skipgraph._parity_union_find(g) == first
+    cert = solve_block(g)
+    assert format_pattern(cert.signed_pattern) == pattern
+    assert cert.start == start
+
+
+def test_union_find_memory_stays_flat():
+    # a 524170-vertex block: no materialized graph or double cover, and no
+    # int64 edge arrays
+    g = build_graph([1, 5, 23, 43, 53])
+    tracemalloc.start()
+    try:
+        solve_block(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
