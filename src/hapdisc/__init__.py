@@ -20,8 +20,6 @@ from .realizability import (
     CycleVerdict,
     RealizabilityVerdict,
     SubpathReport,
-    basic_parity_test,
-    both_paths_agree,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -33,7 +31,6 @@ from .reduction import (
     ReductionInstance,
     build_d1_instance,
     ess_solve,
-    mod_nM_audit,
     witness_cycle,
 )
 from .search import RuleVerdict, SearchResult, longest_odd_cycle, longest_path, rule_scan
@@ -71,8 +68,6 @@ __all__ = [
     "SkipGraph",
     "SubpathReport",
     "UnsupportedSizeError",
-    "basic_parity_test",
-    "both_paths_agree",
     "build_d1_instance",
     "build_graph",
     "check_subpath",
@@ -84,7 +79,6 @@ __all__ = [
     "infer_signs",
     "longest_odd_cycle",
     "longest_path",
-    "mod_nM_audit",
     "parse_pattern",
     "realize",
     "rule_scan",

@@ -181,10 +181,6 @@ class Realization:
     parity_violations: tuple[int, ...]
 
     @property
-    def is_parity_valid(self) -> bool:
-        return not self.parity_violations
-
-    @property
     def is_closed(self) -> bool:
         return self.terms[0] == self.terms[-1]
 

@@ -81,6 +81,9 @@ class RealizabilityVerdict:
 
 @dataclass(frozen=True)
 class CycleVerdict:
+    """``valid_odd_cycle``'s result; ``reason`` is ``even-length``,
+    ``nonzero-sum``, ``not-weakly-realizable`` or ``repeated-term``."""
+
     valid: bool
     signed_sum: int
     witness_start: int | None = None
@@ -116,17 +119,6 @@ def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:
     steps = sp.steps
     inner = sum(sign * skip for sign, skip in steps[i + 1 : j])
     return _span(i, j, steps[i], inner, steps[j])
-
-
-def basic_parity_test(sp: SignedPattern) -> bool:
-    """Parity condition on every adjacent pair of steps.
-
-    This encodes the sign rules for neighbors: two pluses (or two minuses
-    read backwards) need the first skip in the strictly higher 2-adic
-    class, equal classes force opposite signs, and a higher-class skip
-    places no constraint on its own sign.
-    """
-    return all(check_subpath(sp, k, k + 1).parity_ok for k in range(len(sp) - 1))
 
 
 def step_congruence(sign: int, skip: int, offset: int) -> tuple[int, int]:
@@ -286,20 +278,3 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
     if walk.repeated_terms(as_cycle=True):
         return CycleVerdict(False, total, witness_start=start, reason="repeated-term")
     return CycleVerdict(True, total, witness_start=start)
-
-
-def both_paths_agree(sp: SignedPattern, i: int, j: int) -> bool:
-    """Cross-check the two spans a cycle offers between steps i and j.
-
-    Viewing a zero-sum pattern as a cycle, steps i and j are joined by the
-    inner span (steps strictly between) and the outer, wrap-around span.
-    When the signed sum is zero the two spans always give identical
-    divisibility and parity verdicts, which licenses checking only one.
-    """
-    if sp.signed_sum != 0:
-        raise ValueError("pattern is not a cycle: signed sum is nonzero")
-    via_inner = check_subpath(sp, i, j)
-    # the steps outside i..j sum to minus steps i..j on a zero-sum cycle
-    outer = -sum(sign * skip for sign, skip in sp.steps[i : j + 1])
-    via_outer = _span(j, i, sp.steps[j], outer, sp.steps[i])
-    return via_inner.reason == via_outer.reason

@@ -158,61 +158,3 @@ def witness_cycle(ri: ReductionInstance, w: ESSWitness) -> SignedPattern:
     if sp.signed_sum != 0:
         raise RuntimeError(f"witness cycle does not close: sum {sp.signed_sum}")
     return sp
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    ok: bool
-    t_steps: int
-    m_steps: int
-    s_positive: int
-    s_negative: int
-    residue_sum_ok: bool
-
-    @property
-    def s_imbalance(self) -> int:
-        return self.s_positive - self.s_negative
-
-
-def mod_nM_audit(ri: ReductionInstance, sp: SignedPattern) -> AuditRecord:
-    """Residue bookkeeping modulo n*M for a zero-sum pattern over the
-    constructed skips.
-
-    Modulo n*M each s_i contributes +-1, t contributes -+(M - 1) and M
-    contributes +-M; with a zero signed sum the only balance is exactly
-    one t-step and one M-step sharing a sign, offset by an s-step
-    imbalance of one the other way.
-    """
-    if sp.signed_sum != 0:
-        raise ValueError("audit requires a zero signed sum")
-    n, big_m = ri.source.n, ri.M
-    s_set = set(ri.s)
-    t_steps = m_steps = s_pos = s_neg = 0
-    net_t = net_m = 0
-    residue_sum = 0
-    for sign, skip in sp.steps:
-        if skip == ri.t:
-            t_steps += 1
-            net_t += sign
-            residue_sum += sign * (1 - big_m)
-        elif skip == ri.M:
-            m_steps += 1
-            net_m += sign
-            residue_sum += sign * big_m
-        elif skip in s_set:
-            if sign > 0:
-                s_pos += 1
-            else:
-                s_neg += 1
-            residue_sum += sign
-        else:
-            raise ValueError(f"skip {skip} is not part of the constructed set")
-    residue_ok = residue_sum % (n * big_m) == 0
-    ok = (
-        residue_ok
-        and t_steps == 1
-        and m_steps == 1
-        and net_t == net_m
-        and (s_pos - s_neg) == -net_t
-    )
-    return AuditRecord(ok, t_steps, m_steps, s_pos, s_neg, residue_ok)

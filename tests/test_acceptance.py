@@ -8,6 +8,7 @@ over the same data.
 import math
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -16,7 +17,6 @@ from hapdisc.classify import classify
 from hapdisc.pattern import Pattern, SignedPattern, infer_signs, parse_pattern, realize
 from hapdisc.realizability import (
     REALIZABLE,
-    basic_parity_test,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -26,11 +26,16 @@ from hapdisc.reduction import (
     ESSInstance,
     build_d1_instance,
     ess_solve,
-    mod_nM_audit,
     witness_cycle,
 )
 from hapdisc.search import longest_odd_cycle, longest_path
-from hapdisc.skipgraph import build_graph, find_odd_cycle, two_color, verify_discrepancy
+from hapdisc.skipgraph import (
+    Coloring,
+    OddCycleCertificate,
+    build_graph,
+    solve_block,
+    verify_discrepancy,
+)
 
 from oracles import least_walk_start
 
@@ -83,14 +88,15 @@ def report(n: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def size3_sweep():
-    """(elements, classifier forces, oracle forces) for reduced 3-sets <= 30."""
+    """(elements, classifier forces, the graph oracle's odd cycle or None)
+    for reduced 3-sets <= 30."""
     rows = []
     for s in combinations(range(1, 31), 3):
         if math.gcd(*s) != 1:
             continue
-        forces = classify(s).forces
-        oracle = two_color(build_graph(s)) is None
-        rows.append((s, forces, oracle))
+        found = solve_block(build_graph(s))
+        cert = found if isinstance(found, OddCycleCertificate) else None
+        rows.append((s, classify(s).forces, cert))
     return rows
 
 
@@ -103,9 +109,9 @@ def size4_sweep():
             continue
         if 2 * math.lcm(*s) > 2**22:
             continue
-        forces = classify(s).forces
-        oracle = two_color(build_graph(s)) is None
-        rows.append((s, forces, oracle))
+        found = solve_block(build_graph(s))
+        cert = found if isinstance(found, OddCycleCertificate) else None
+        rows.append((s, classify(s).forces, cert))
     return rows
 
 
@@ -129,7 +135,7 @@ def test_criterion_01_long_row_fixtures():
         assert len(p) == length
         sp = infer_signs(p, start)
         walk = realize(sp, start)
-        assert walk.is_parity_valid, (text, walk.parity_violations)
+        assert not walk.parity_violations, (text, walk.parity_violations)
         if kind == "cycle":
             assert sp.signed_sum == 0
             assert length % 2 == 1
@@ -167,7 +173,7 @@ def test_criterion_02_eleven_cycle():
     assert verdict.valid
     assert verdict.witness_start == 360
     walk = realize(sp, 360)
-    assert walk.is_parity_valid and walk.is_closed
+    assert not walk.parity_violations and walk.is_closed
     assert sp.skips.count(max(ELEVEN_CYCLE_SET)) == 2
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -206,7 +212,7 @@ def test_criterion_03_start_system_matches_walk_oracle():
 
 def test_criterion_04_counterexample_fixtures():
     sp = parse_pattern("[+4 +3 -1 +2]")
-    assert basic_parity_test(sp)
+    assert all(check_subpath(sp, k, k + 1).parity_ok for k in range(len(sp) - 1))
     n = len(sp)
     for i in range(n):
         for j in range(i + 1, n):
@@ -226,7 +232,7 @@ def test_criterion_04_counterexample_fixtures():
 
 
 def test_criterion_05_size3_classifier_sweep(size3_sweep):
-    disagreements = [s for s, forces, oracle in size3_sweep if forces != oracle]
+    disagreements = [s for s, forces, cert in size3_sweep if forces != (cert is not None)]
     assert disagreements == []
     forcing = [s for s, forces, _ in size3_sweep if forces]
     for s in forcing:
@@ -240,7 +246,7 @@ def test_criterion_05_size3_classifier_sweep(size3_sweep):
 
 
 def test_criterion_06_size4_classifier_sweep(size4_sweep):
-    disagreements = [s for s, forces, oracle in size4_sweep if forces != oracle]
+    disagreements = [s for s, forces, cert in size4_sweep if forces != (cert is not None)]
     assert disagreements == []
     report(
         6,
@@ -270,15 +276,8 @@ def _certificate_checks(skips, sp: SignedPattern):
 
 def test_criterion_08_structural_properties(size3_sweep, size4_sweep, cycle_bound_sweep):
     certified = 0
-    for s, forces, _ in size3_sweep:
+    for s, forces, cert in size3_sweep + size4_sweep:
         if forces:
-            cert = find_odd_cycle(build_graph(s))
-            assert cert is not None
-            _certificate_checks(s, cert.signed_pattern)
-            certified += 1
-    for s, forces, _ in size4_sweep:
-        if forces:
-            cert = find_odd_cycle(build_graph(s))
             assert cert is not None
             _certificate_checks(s, cert.signed_pattern)
             certified += 1
@@ -313,12 +312,20 @@ def test_criterion_09_reduction_forward_direction():
             assert cycle.signed_sum == 0
             assert len(cycle) % 2 == 1
             assert weakly_realizable(cycle).status == "weakly-realizable"
-            assert mod_nM_audit(ri, cycle).ok
+            # one -t, one -M, and one more +s step than -s steps
+            kind = {ri.t: "t", ri.M: "M", **dict.fromkeys(ri.s, "s")}
+            k = len(inst_witness.y_indices)
+            assert Counter((sign, kind[skip]) for sign, skip in cycle.steps) == {
+                (-1, "t"): 1,
+                (-1, "M"): 1,
+                (1, "s"): k + 1,
+                (-1, "s"): k,
+            }
     assert positive > 0
     report(
         9,
         f"{positive} equal-sum witnesses produced odd, zero-sum, weakly "
-        "realizable cycles passing the residue audit",
+        "realizable cycles with one -t, one -M and one surplus +s step",
     )
 
 
@@ -331,8 +338,8 @@ def test_criterion_10_coloring_soundness():
         period = 2 * math.lcm(*skips)
         if period > 2**20:
             continue
-        coloring = two_color(build_graph(skips))
-        if coloring is None:
+        coloring = solve_block(build_graph(skips))
+        if not isinstance(coloring, Coloring):
             continue
         assert verify_discrepancy(coloring, skips, 10 * period) <= 1, skips
         verified += 1

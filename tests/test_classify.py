@@ -8,11 +8,11 @@ import pytest
 from hapdisc.classify import Classification, UnsupportedSizeError, classify
 from hapdisc.pattern import format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
-from hapdisc.skipgraph import build_graph, two_color
+from hapdisc.skipgraph import OddCycleCertificate, build_graph, solve_block
 
 
 def oracle_forces(skips) -> bool:
-    return two_color(build_graph(skips)) is None
+    return isinstance(solve_block(build_graph(skips)), OddCycleCertificate)
 
 
 def test_skip_set_construction():
@@ -145,7 +145,7 @@ def test_predicted_cycles_validate_with_concrete_starts():
         assert verdict.witness_start == result.predicted_start
         assert set(result.predicted_cycle.skips) <= set(values)
         walk = realize(result.predicted_cycle, result.predicted_start)
-        assert walk.is_parity_valid and walk.is_closed
+        assert not walk.parity_violations and walk.is_closed
 
 
 def test_classification_scaling_invariance():

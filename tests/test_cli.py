@@ -9,7 +9,7 @@ from hapdisc.cli import main
 from hapdisc.pattern import Pattern, parse_pattern
 from hapdisc.realizability import SubpathReport, strict_realizability
 from hapdisc.reduction import ESSInstance, build_d1_instance
-from hapdisc.skipgraph import build_graph, two_color
+from hapdisc.skipgraph import Coloring, build_graph, solve_block
 
 
 def run(capsys, *argv):
@@ -288,7 +288,9 @@ def test_output_contract(capsys, tmp_path, argv, exit_code, as_json):
     # every verb writes one stdout line, nothing on stderr, and the
     # README's exit code, in both output modes
     coloring = tmp_path / "coloring.txt"
-    coloring.write_text(two_color(build_graph((2, 3, 4))).line() + "\n")
+    block = solve_block(build_graph((2, 3, 4)))
+    assert isinstance(block, Coloring)
+    coloring.write_text(block.line() + "\n")
     argv = [str(coloring) if a == "COLORING" else a for a in argv]
     code = main(argv + ["--json"] if as_json else argv)
     captured = capsys.readouterr()

@@ -77,7 +77,7 @@ def test_infer_signs_rejects_non_multiple():
 def test_realize_path():
     walk = realize(parse_pattern("[-1 +3 -1]"), 1)
     assert walk.terms == (1, 0, 3, 2)
-    assert walk.is_parity_valid
+    assert not walk.parity_violations
     assert not walk.repeated_terms()
     assert not walk.is_closed
 
@@ -93,7 +93,7 @@ def test_realize_closed_walk():
 def test_realize_flags_repeated_term_of_retraced_arc():
     walk = realize(parse_pattern("[+1 -1]"), 0)
     assert walk.repeated_terms() == (0,)
-    assert walk.is_parity_valid
+    assert not walk.parity_violations
 
 
 def test_realize_flags_parity_violation():
@@ -119,7 +119,7 @@ def test_infer_then_realize_never_violates_parity():
             t += s if (t // s) % 2 == 0 else -s
         sp = infer_signs(Pattern(tuple(skips)), start)
         walk = realize(sp, start)
-        assert walk.is_parity_valid
+        assert not walk.parity_violations
         assert walk_attempt(sp, start)
 
 
@@ -142,7 +142,7 @@ def test_repeat_flags_are_start_independent():
         shift = math.lcm(*(2 * a for a in sp.skips))
         w1 = realize(sp, verdict.witness_start)
         w2 = realize(sp, verdict.witness_start + shift)
-        assert w2.is_parity_valid
+        assert not w2.parity_violations
         assert len(w1.repeated_terms()) == len(w2.repeated_terms())
         assert len(w1.repeated_terms(as_cycle=True)) == len(w2.repeated_terms(as_cycle=True))
 

@@ -8,8 +8,6 @@ from hapdisc.realizability import (
     FORBIDDEN,
     REALIZABLE,
     WEAKLY_REALIZABLE,
-    basic_parity_test,
-    both_paths_agree,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -63,11 +61,16 @@ def test_check_subpath_bounds():
 
 
 def test_basic_parity_test_cases():
-    assert basic_parity_test(sp("[+4 +3 -1 +2]"))
-    # equal odd classes with equal signs break the adjacent rule
-    assert not basic_parity_test(sp("[+3 +5]"))
-    # equal classes with opposite signs pass, repetition notwithstanding
-    assert basic_parity_test(sp("[+1 -1]"))
+    cases = [
+        ("[+4 +3 -1 +2]", True),
+        # equal odd classes with equal signs break the adjacent rule
+        ("[+3 +5]", False),
+        # equal classes with opposite signs pass, repetition notwithstanding
+        ("[+1 -1]", True),
+    ]
+    for text, ok in cases:
+        p = sp(text)
+        assert all(check_subpath(p, k, k + 1).parity_ok for k in range(len(p) - 1)) == ok
 
 
 # --- weak realizability ---
@@ -90,7 +93,7 @@ def test_four_pairs_pattern_weakly_realizable_at_5():
     verdict = weakly_realizable(sp("[-1 -4 +6 +3 -1 +4 +6 +3 -1 -4]"))
     assert verdict.status == WEAKLY_REALIZABLE
     assert verdict.witness_start == 5
-    assert realize(verdict.signed, 5).is_parity_valid
+    assert not realize(verdict.signed, 5).parity_violations
 
 
 # --- strict realizability ---
@@ -152,23 +155,22 @@ def test_cycle_witness_reproduces_cycle():
     verdict = valid_odd_cycle(sp("[+8 +1 -3 +1 -5 +1 -3]"))
     assert verdict.valid and verdict.witness_start == 48
     walk = realize(sp("[+8 +1 -3 +1 -5 +1 -3]"), verdict.witness_start)
-    assert walk.is_parity_valid and walk.is_closed
+    assert not walk.parity_violations and walk.is_closed
 
 
 # --- the two spans of a cycle ---
 
 
 def test_both_paths_agree_examples():
-    eleven = sp("[+18 +9 -3 +16 +20 +3 -9 -18 +3 -19 -20]")
-    for i in range(11):
-        for j in range(i + 1, 11):
-            assert both_paths_agree(eleven, i, j)
-    assert both_paths_agree(sp("[+2 +1 -3]"), 0, 2)
-
-
-def test_both_paths_rejects_open_patterns():
-    with pytest.raises(ValueError):
-        both_paths_agree(sp("[+2 +1]"), 0, 1)
+    # on a zero-sum pattern read as a cycle, steps i and j are also joined
+    # by the wrap-around span, which is the span from j to i + n of the
+    # pattern written out twice; both spans get the same verdict
+    for cycle in (sp("[+18 +9 -3 +16 +20 +3 -9 -18 +3 -19 -20]"), sp("[+2 +1 -3]")):
+        n = len(cycle)
+        doubled = SignedPattern(cycle.steps * 2)
+        for i in range(n):
+            for j in range(i + 1, n):
+                assert check_subpath(cycle, i, j).reason == check_subpath(doubled, j, i + n).reason
 
 
 def test_both_paths_random_zero_sum_sweep():
@@ -182,10 +184,12 @@ def test_both_paths_random_zero_sum_sweep():
             continue
         steps.append((1 if residual > 0 else -1, abs(residual)))
         pattern = SignedPattern(tuple(steps))
+        doubled = SignedPattern(pattern.steps * 2)
         built += 1
         for i in range(length):
             for j in range(i + 1, length):
-                assert both_paths_agree(pattern, i, j)
+                inner = check_subpath(pattern, i, j)
+                assert inner.reason == check_subpath(doubled, j, i + length).reason
 
 
 # --- invariants against the walk oracle ---
@@ -236,7 +240,7 @@ def test_divisibility_plus_adjacent_parity_gives_short_span_parity():
     confirmed = 0
     while confirmed < 250:
         pattern = random_signed(rng, max_skip=10, max_len=7, min_len=3)
-        if not basic_parity_test(pattern):
+        if not all(check_subpath(pattern, k, k + 1).parity_ok for k in range(len(pattern) - 1)):
             continue
         windows = [
             check_subpath(pattern, i, i + 2) for i in range(len(pattern) - 2)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,6 @@ from hapdisc.reduction import (
     ESSWitness,
     build_d1_instance,
     ess_solve,
-    mod_nM_audit,
     witness_cycle,
 )
 
@@ -79,48 +79,21 @@ def test_witness_cycle_rejects_bad_witness():
         witness_cycle(ri, ESSWitness((0, 2), (1,)))
 
 
+def step_counts(ri, cycle: SignedPattern) -> Counter:
+    """Steps of a cycle over ri's skips counted by (sign, "t" | "M" | "s");
+    a skip outside the constructed set raises KeyError."""
+    kind = {ri.t: "t", ri.M: "M", **dict.fromkeys(ri.s, "s")}
+    return Counter((sign, kind[skip]) for sign, skip in cycle.steps)
+
+
 def test_audit_passes_on_witness_cycle():
+    # one -t, one -M and one more +s step than -s steps: modulo n*M each
+    # s_i is 1, t is 1 - M and M is M, so this is the only balance of a
+    # zero signed sum over the constructed skips
     inst = ESSInstance.of([1, 2, 3])
     ri = build_d1_instance(inst)
     cycle = witness_cycle(ri, ess_solve(inst))
-    record = mod_nM_audit(ri, cycle)
-    assert record.ok
-    assert record.t_steps == 1 and record.m_steps == 1
-    assert (record.s_positive, record.s_negative) == (2, 1)
-    assert record.s_imbalance == 1
-
-
-def test_audit_fails_on_double_t():
-    inst = ESSInstance.of([1, 2, 3])
-    ri = build_d1_instance(inst)
-    s1, s2, s3 = ri.s
-    # zero-sum pattern reusing the t skip twice: s1 - s3 + s2 - t - M closes,
-    # so append +t -t to keep the sum while breaking the count
-    doctored = SignedPattern(
-        (
-            (1, s1),
-            (-1, s3),
-            (1, s2),
-            (-1, ri.t),
-            (-1, ri.M),
-            (1, ri.t),
-            (-1, ri.t),
-        )
-    )
-    assert doctored.signed_sum == 0
-    record = mod_nM_audit(ri, doctored)
-    assert not record.ok
-    assert record.t_steps == 3
-
-
-def test_audit_requires_zero_sum_and_known_skips():
-    inst = ESSInstance.of([1, 2, 3])
-    ri = build_d1_instance(inst)
-    with pytest.raises(ValueError):
-        mod_nM_audit(ri, SignedPattern(((1, ri.M),)))
-    stray = SignedPattern(((1, 17), (-1, 17)))
-    with pytest.raises(ValueError):
-        mod_nM_audit(ri, stray)
+    assert step_counts(ri, cycle) == {(-1, "t"): 1, (-1, "M"): 1, (1, "s"): 2, (-1, "s"): 1}
 
 
 def test_forward_direction_small_sweep():
@@ -136,6 +109,8 @@ def test_forward_direction_small_sweep():
         assert len(cycle) % 2 == 1
         assert cycle.signed_sum == 0
         assert weakly_realizable(cycle).status == "weakly-realizable"
-        assert mod_nM_audit(ri, cycle).ok
+        k = len(witness.y_indices)
+        counts = {(-1, "t"): 1, (-1, "M"): 1, (1, "s"): k + 1, (-1, "s"): k}
+        assert step_counts(ri, cycle) == counts
         assert ri.M % 2 == 0
         assert all(x % 2 == 1 for x in ri.s) and ri.t % 2 == 1
