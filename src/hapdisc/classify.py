@@ -1,38 +1,32 @@
 """Closed-form decision procedures for skip sets of size at most 4.
 
-Scaling every skip by a common factor changes nothing, so `classify`
-divides the set by its gcd and runs one table of the paper's cycle
-conditions on the reduced set.  Sizes 1 and 2 never force discrepancy
-two.  A 3-set forces exactly when its two smaller elements sum to the
-largest and occupy different 2-adic classes (a triangle).  A 4-set forces
-exactly when one of four conditions holds, each naming the odd cycle it
-yields:
+The paper decides these sizes with a short list of odd cycles: a set
+forces discrepancy two exactly when one of them occurs in its graph.
+Sizes 1 and 2 never force.  A 3-set forces exactly when it holds the
+triangle [+a +b -c].  A 4-set forces exactly when one of four cycles
+occurs:
 
-1. some triple p + q = r with p, q in different 2-adic classes
-   (a 3-cycle, the 3-set test; the triple need not be reduced on its own);
-2. two even skips a, b in the same 2-adic class and two odd skips x, y
-   with b | a, gcd(a, x) | b, gcd(a, y) | b and a = 2b + y - x
-   (the 5-cycle [+b -a +b +y -x]);
-3. one even skip a and odd skips x, y, z with x | y, gcd(y, z) | x,
-   gcd(a, y) | x and a = +-(2x - y - z)
-   (the 5-cycle [-a +x -y +x -z], sign-mirrored for the minus case);
-4. 1 in the set and labels a even, x, y odd with a = 2x + y - 3,
-   x | a + 1 and gcd(a, y) = 1
-   (the 7-cycle [+a +1 -x +1 -y +1 -x]).
+1. the triangle [+a +b -c], the 3-set test on some triple;
+2. the 5-cycle [+b -a +b +y -x];
+3. the 5-cycle [-a +x -y +x -z], or its mirror [+a +x -y +x -z];
+4. the 7-cycle [+a +z -x +z -y +z -x].
 
-The first condition that holds names the verdict.  Its predicted cycle is
-scaled back to the input's own skips and validated once there, which
-also yields its start term.
+A rule fires when some labeling of its cycle by the set's elements is a
+valid odd cycle (``realizability.valid_odd_cycle``), so the verdict is
+its own certificate and the cycle runs in the input's own graph.  The
+first rule that fires names the verdict.  ``tests/test_properties.py``
+checks each rule against the paper's literal conditions
+(``tests/oracles.paper_conditions``), and ``tests/test_classify.py`` pins
+every verdict on the subsets of 1..24 by digest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
+from operator import mul
 from typing import Iterable
 
-from .numeric import two_adic_valuation
 from .pattern import SignedPattern, format_pattern, sorted_skips
 from .realizability import valid_odd_cycle
 
@@ -80,113 +74,72 @@ class Classification:
         return out
 
 
-def _three_cycle_triple(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
-    """First triple p + q = r with p and q in different 2-adic classes."""
-    for c in elements:
-        for p, q in combinations([e for e in elements if e < c], 2):
-            if p + q != c:
-                continue
-            vp, vq = two_adic_valuation(p), two_adic_valuation(q)
-            if vp == vq:
-                continue
-            hi, lo = (p, q) if vp > vq else (q, p)
-            return {"a": hi, "b": lo, "c": c}, [(1, hi), (1, lo), (-1, c)]
-    return None
+def _rule(order: str, *cycles: str) -> tuple[str, tuple]:
+    """A rule's label order and its cycle variants, each as the linear
+    form of its signed sum over that order and its (sign, label) steps."""
+    variants = []
+    for text in cycles:
+        steps = tuple((1 if token[0] == "+" else -1, token[1]) for token in text.split())
+        form = tuple(sum(sign for sign, name in steps if name == label) for label in order)
+        variants.append((form, steps))
+    return order, tuple(variants)
 
 
-def _five_cycle_two_even(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
-    evens = [e for e in elements if e % 2 == 0]
-    odds = [e for e in elements if e % 2]
-    if len(evens) != 2 or len(odds) != 2:
-        return None
-    if two_adic_valuation(evens[0]) != two_adic_valuation(evens[1]):
-        return None
-    for a, b in permutations(evens, 2):
-        if a % b:
-            continue
-        for x, y in permutations(odds, 2):
-            if a != 2 * b + y - x:
-                continue
-            if b % math.gcd(a, x) or b % math.gcd(a, y):
-                continue
-            labeling = {"a": a, "b": b, "x": x, "y": y}
-            return labeling, [(1, b), (-1, a), (1, b), (1, y), (-1, x)]
-    return None
-
-
-def _five_cycle_one_even(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
-    evens = [e for e in elements if e % 2 == 0]
-    odds = [e for e in elements if e % 2]
-    if len(evens) != 1 or len(odds) != 3:
-        return None
-    a = evens[0]
-    for x, y, z in permutations(odds, 3):
-        if y % x:
-            continue
-        if x % math.gcd(y, z) or x % math.gcd(a, y):
-            continue
-        d = 2 * x - y - z
-        if d == a:
-            first = (-1, a)
-        elif d == -a:
-            first = (1, a)
-        else:
-            continue
-        labeling = {"a": a, "x": x, "y": y, "z": z}
-        return labeling, [first, (1, x), (-1, y), (1, x), (-1, z)]
-    return None
-
-
-def _seven_cycle(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
-    if 1 not in elements:
-        return None
-    rest = [e for e in elements if e != 1]
-    for a, x, y in permutations(rest, 3):
-        if a % 2 or x % 2 == 0 or y % 2 == 0:
-            continue
-        if a != 2 * x + y - 3:
-            continue
-        if (a + 1) % x or math.gcd(a, y) != 1:
-            continue
-        labeling = {"a": a, "x": x, "y": y, "z": 1}
-        steps = [(1, a), (1, 1), (-1, x), (1, 1), (-1, y), (1, 1), (-1, x)]
-        return labeling, steps
-    return None
-
-
-# The paper's cycle conditions by set size, tested in order on the
-# gcd-reduced set; a 3-set's triangle is the 4-set's first condition, and
-# sizes 1 and 2 have none.
+# The paper's odd cycles by set size, tried in order; a 3-set's triangle
+# is the 4-set's first condition, and sizes 1 and 2 have none.  Labels
+# take the set's elements in the order given: a 4-set has at most one
+# pair summing to a given c, so the triangle labels c first.
+_TRIANGLE = _rule("cab", "+a +b -c")
 _RULES = {
-    3: ((RULE_SIZE3, _three_cycle_triple),),
+    3: ((RULE_SIZE3, _TRIANGLE),),
     4: tuple(
-        zip(RULE_BULLETS, (_three_cycle_triple, _five_cycle_two_even, _five_cycle_one_even, _seven_cycle))
+        zip(
+            RULE_BULLETS,
+            (
+                _TRIANGLE,
+                _rule("abxy", "+b -a +b +y -x"),
+                _rule("axyz", "-a +x -y +x -z", "+a +x -y +x -z"),
+                _rule("axyz", "+a +z -x +z -y +z -x"),
+            ),
+        )
     ),
 }
+
+
+def _first_cycle(elements: tuple[int, ...], order: str, variants: tuple):
+    """The first labeling of ``elements`` (sorted permutations, each
+    variant in turn) whose cycle is a valid odd cycle, as (labeling,
+    cycle, least start), or None."""
+    for values in permutations(elements, len(order)):
+        for form, steps in variants:
+            if sum(map(mul, form, values)):
+                continue
+            labeling = dict(zip(order, values))
+            cycle = SignedPattern(tuple((sign, labeling[name]) for sign, name in steps))
+            verdict = valid_odd_cycle(cycle)
+            if verdict.valid:
+                return dict(sorted(labeling.items())), cycle, verdict.witness_start
+    return None
 
 
 def classify(values: Iterable[int]) -> Classification:
     """Decide whether a skip set of size at most 4 forces discrepancy two.
 
-    The rules run on the set divided by its gcd g; the first hit's cycle
-    and labeling are scaled back by g, so the witness cycle runs in the
-    input set's own graph, and that cycle is validated once.  Every
-    satisfied 4-set condition is reported in ``satisfied_bullets``.
+    The first rule whose cycle has a valid labeling over the input's own
+    skips names the verdict, its labeling, its cycle and the cycle's least
+    start.  Every satisfied 4-set condition is reported in
+    ``satisfied_bullets``.
     """
     elements = sorted_skips(values)
     if len(elements) > 4:
         raise UnsupportedSizeError(len(elements))
-    g = math.gcd(*elements)
-    reduced = tuple(e // g for e in elements)
-    hits = [(rule, hit) for rule, check in _RULES.get(len(reduced), ()) if (hit := check(reduced))]
+    hits = [
+        (rule, hit)
+        for rule, (order, variants) in _RULES.get(len(elements), ())
+        if (hit := _first_cycle(elements, order, variants))
+    ]
     if not hits:
         return Classification(False, RULE_NONE)
-    rule, (labeling, steps) = hits[0]
-    cycle = SignedPattern(steps).scaled(g)
-    verdict = valid_odd_cycle(cycle)
-    if not verdict.valid:
-        raise RuntimeError(f"predicted cycle failed validation: {cycle.steps} ({verdict.reason})")
-    assert verdict.witness_start is not None
-    labeling = {k: v * g for k, v in labeling.items()}
+    rule, (labeling, cycle, start) = hits[0]
     satisfied = tuple(rule for rule, _ in hits if rule in RULE_BULLETS)
-    return Classification(True, rule, labeling, cycle, verdict.witness_start, satisfied)
+    return Classification(True, rule, labeling, cycle, start, satisfied)

@@ -56,9 +56,6 @@ class Pattern:
     def __len__(self) -> int:
         return len(self.skips)
 
-    def scaled(self, d: int) -> "Pattern":
-        return Pattern(tuple(d * s for s in self.skips))
-
 
 @dataclass(frozen=True)
 class SignedPattern:
@@ -92,9 +89,6 @@ class SignedPattern:
 
     def unsigned(self) -> Pattern:
         return Pattern(self.skips)
-
-    def scaled(self, d: int) -> "SignedPattern":
-        return SignedPattern(tuple((sign, d * skip) for sign, skip in self.steps))
 
 
 AnyPattern = Union[Pattern, SignedPattern]

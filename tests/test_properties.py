@@ -45,6 +45,7 @@ from oracles import (
     brute_congruence_solution,
     discrepancy_scan,
     least_walk_start,
+    paper_conditions,
     sign_free_span_failure,
     span_walk_exists,
     walk_attempt,
@@ -291,6 +292,52 @@ def test_classify_certificate_at_any_scale(skips, d):
     assert terms[-1] == terms[0] and _distinct(terms[:-1])
     assume(2 * math.lcm(*cycle.skips) <= 2**16)
     assert start == least_walk_start(cycle)
+
+
+# 4-sets built to meet one rule's zero-sum equation, with one label solved
+# for and w = 2k + 1 an odd multiplier that makes the rule's divisibility
+# likely: c = a + b; a = 2b + y - x with a = wb; a = |2x - y - z| with
+# y = wx; a = 2x + y - 3z with z = 1 and y = 2 + wx.  Labels run up to
+# 10^6 and are often small.
+
+
+def _shaped(rule, p, q, r, k):
+    w = 2 * k + 1
+    if rule == 0:
+        return [p, q, p + q, r]
+    if rule == 1:
+        b, x = 2 * p, 2 * q + 1
+        return [w * b, b, x, x + (w - 2) * b]
+    if rule == 2:
+        x, z = 2 * p + 1, 2 * q + 1
+        return [abs(2 * x - w * x - z), x, w * x, z]
+    x = 2 * p + 1
+    return [2 * x + 2 + w * x - 3, x, 2 + w * x, 1]
+
+
+labels = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
+shaped_sets = st.builds(_shaped, st.integers(0, 3), labels, labels, labels, st.integers(0, 7)).filter(
+    lambda s: min(s) > 0 and len(set(s)) == 4
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(shaped_sets, st.integers(1, 12))
+@example([1, 2, 3, 4], 1)
+@example([1, 2, 7, 10], 2)
+@example([1, 3, 9, 4], 3)
+@example([1, 3, 5, 8], 12)
+def test_classify_rules_match_paper_conditions(skips, d):
+    # each rule fires exactly when the paper's literal condition holds,
+    # and the first one's labeling is the condition's, at any scale
+    values = [d * v for v in skips]
+    g = math.gcd(*values)
+    bullets, labeling = paper_conditions(tuple(sorted(v // g for v in values)))
+    result = classify(values)
+    assert result.satisfied_bullets == bullets
+    assert result.forces == bool(bullets)
+    if result.forces:
+        assert {k: v // g for k, v in result.labeling.items()} == labeling
 
 
 @PROPERTY

@@ -221,7 +221,8 @@ def test_scaling_preserves_status():
         pattern = random_signed(rng, max_skip=8, max_len=6)
         base = strict_realizability(pattern).status
         for d in (2, 3, 5):
-            assert strict_realizability(pattern.scaled(d)).status == base
+            scaled = SignedPattern(tuple((sign, d * skip) for sign, skip in pattern.steps))
+            assert strict_realizability(scaled).status == base
 
 
 def test_scaling_preserves_unsigned_status():
@@ -230,7 +231,7 @@ def test_scaling_preserves_unsigned_status():
         p = Pattern(tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 5))))
         base = strict_realizability(p).status
         for d in (2, 3, 5):
-            assert strict_realizability(p.scaled(d)).status == base
+            assert strict_realizability(Pattern(tuple(d * s for s in p.skips))).status == base
 
 
 def test_divisibility_plus_adjacent_parity_gives_short_span_parity():
