@@ -12,20 +12,24 @@ rule does not certify realizability.
 
 The depth-first search enumerates signed extensions and prunes by
 congruence, freshness and distance only: a single incrementally merged
-start-term congruence (one gcd merge per node decides weak
-realizability of the whole prefix), term freshness, and for cycles
-the distance still to cover back to the start.  It runs none of the
-window rules, which can only cut what these checks cut already (see
-``_search``).  Every surviving node is therefore a realizable path;
-cycle candidates additionally need an odd length and a zero signed sum.
-Among maximum-length candidates the result is the one with the least
-witness start, then lexicographically least signs (+ before -), then
-skips.
+start-term congruence, which decides weak realizability of the whole
+prefix, term freshness, and for cycles the distance still to cover back
+to the start.  Each skip is gated by one exact residue test against the
+node's congruence: with g = gcd(modulus, 2a), both signs of the skip a
+can extend it only when g divides a, and otherwise at most one can.
+Only the signs that pass are merged, so no merge in the search fails.
+It runs none of the window rules, which can only cut what these checks
+cut already (see ``_search``).  Every surviving node is therefore a
+realizable path; cycle candidates additionally need an odd length and a
+zero signed sum.  Among maximum-length candidates the result is the one
+with the least witness start, then lexicographically least signs (+
+before -), then skips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
 from .numeric import crt_merge
@@ -180,6 +184,9 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     truncated = False
     steps: list[tuple[int, int]] = []
     seen = {0}
+    # (a, gcd(modulus, 2a), whether that gcd divides a) for every skip,
+    # per modulus; the moduli divide 2 * lcm(skips), so there are few
+    gates: dict[int, tuple[tuple[int, int, bool], ...]] = {}
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
         nonlocal best
@@ -201,8 +208,29 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
         if depth == max_len:
             truncated = True
             return
-        for a in skip_list:
-            for sign in (1, -1):
+        residue, modulus = acc
+        gate = gates.get(modulus)
+        if gate is None:
+            gate = gates[modulus] = tuple(
+                (a, g, a % g == 0) for a in skip_list for g in [gcd(modulus, 2 * a)]
+            )
+        offset = -base - residue
+        for a, g, both in gate:
+            # The step (sign, a) from ``base`` merges into ``acc`` iff
+            # g = gcd(modulus, 2a) divides its residue difference, so one
+            # residue d of -base - residue decides both signs exactly: +a
+            # needs d == 0 and -a needs d + a == 0 (mod g).  As g divides
+            # 2a, a is 0 or g/2 (mod g): both signs survive only when g
+            # divides a, and otherwise at most one does.  The merge runs
+            # on survivors only.
+            d = offset % g
+            if d == 0:
+                signs = (1, -1) if both else (1,)
+            elif (d + a) % g == 0:
+                signs = (-1,)
+            else:
+                continue
+            for sign in signs:
                 # No window rule runs here.  Every node is a strictly
                 # realizable prefix (one merge, no repeated term or arc),
                 # and the rules are necessary conditions for that.  On the
@@ -227,8 +255,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 elif cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
                     continue
                 merged = crt_merge(acc, step_congruence(sign, a, base))
-                if merged is None:
-                    continue
+                assert merged is not None  # the residue test above admitted it
                 if closes:
                     consider(depth + 1, merged[0], (sign, a))
                     continue

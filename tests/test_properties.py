@@ -30,6 +30,7 @@ from hapdisc.realizability import (
     _signings,
     _subpath_reports,
     check_subpath,
+    step_congruence,
     strict_realizability,
     valid_odd_cycle,
     weakly_realizable,
@@ -354,3 +355,34 @@ def test_crt_merge_fold_matches_brute_force(pairs):
         assert solved is None
     else:
         assert solved == (expected, math.lcm(*(m for _, m in pairs)))
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((1, -1)), st.integers(1, 60), st.integers(-500, 500)),
+        max_size=8,
+    ),
+    st.integers(-500, 500),
+    st.integers(1, 60),
+)
+def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
+    # the start-term congruence of a search node, folded from step
+    # congruences; a step that does not merge is left out, as the DFS would
+    acc = (0, 1)
+    for sign, skip, offset in folded:
+        acc = crt_merge(acc, step_congruence(sign, skip, offset)) or acc
+    # the gate of search._search: one residue test per skip
+    residue, modulus = acc
+    g = math.gcd(modulus, 2 * a)
+    d = (-base - residue) % g
+    if d == 0:
+        admitted = {1, -1} if a % g == 0 else {1}
+    elif (d + a) % g == 0:
+        admitted = {-1}
+    else:
+        admitted = set()
+    merging = {s for s in (1, -1) if crt_merge(acc, step_congruence(s, a, base)) is not None}
+    assert admitted == merging
+    if a % g:
+        assert len(merging) <= 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -5,6 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
+from hapdisc import search
+from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
 from hapdisc.realizability import strict_realizability, valid_odd_cycle
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
@@ -269,3 +272,33 @@ def test_search_results_pass_rule_scan():
     for result in filter(None, results):
         for p in (result.signed, result.pattern):
             assert not rule_scan(p).forbidden, (result, rule_scan(p))
+
+
+def test_search_merges_only_surviving_steps(monkeypatch):
+    # the residue gate is exact, so every merge the DFS asks for succeeds
+    results = []
+
+    def recording_merge(a, b):
+        results.append(crt_merge(a, b))
+        return results[-1]
+
+    monkeypatch.setattr(search, "crt_merge", recording_merge)
+    for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37]):
+        longest_path(skips, 64)
+        longest_odd_cycle(skips, 25)
+    assert results
+    assert None not in results
+
+
+def test_golden_digest():
+    # every path and odd-cycle result on the 1 079 subsets of 1..13 with
+    # 2-4 elements and 40 seeded 5-subsets of 1..40
+    sets = [s for k in range(2, 5) for s in combinations(range(1, 14), k)]
+    rng = random.Random(14)
+    sets += [tuple(sorted(rng.sample(range(1, 41), 5))) for _ in range(40)]
+    lines = []
+    for s in sets:
+        lines.append(repr(longest_path(s, 40)))
+        lines.append(repr(longest_odd_cycle(s, 19)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b3be9729ae0a2533d610e8b5e060b1a72dd74df40f00ef2ad98aaf891c60384b"
