@@ -10,11 +10,14 @@ returns whichever of the two certificates exists.
 
 Two algorithms decide a block, and both leave each component's least
 vertex +1.  Below 2**16 vertices a BFS walks the block, computing
-adjacency on demand from divisibility; a vertex that is a multiple of s
-has exactly one s-neighbour, so degrees are at most |S|.  From 2**16 on a
-numpy union-find with parity decides it from the edges of one skip at a
-time, in chunks, so no graph is materialized either way; the BFS then runs
-only on an odd component, to build its cycle.  The cut is set by the
+adjacency on demand: a vertex v that is a multiple of s has exactly one
+s-neighbour, v + s when v % 2s is 0 and v - s when it is s, so degrees
+are at most |S|.  The BFS takes its roots, in ascending order, from a
+byte mask of the uncolored vertices that are a multiple of some skip, so
+it never visits an isolated vertex.  From 2**16 on a numpy union-find
+with parity decides the block from the edges of one skip at a time, in
+chunks, so no graph is materialized either way; the BFS then runs only
+on an odd component, to build its cycle.  The cut is set by the
 benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).
 """
 
@@ -32,13 +35,17 @@ from .realizability import valid_odd_cycle
 DEFAULT_PERIOD_CAP = 1 << 24
 
 # Blocks of at least this many vertices are decided by the parity
-# union-find, smaller ones by the BFS alone.  The union-find is faster
-# from about 2**9 vertices on, but perfbench keeps about 140 B of
-# bookkeeping per completed op, so a faster ``sweep`` (blocks of at most
-# 2**16) would raise its peak_rss_mb by op count alone: 12-17 % at a cut
-# of 2**10.  Lower the cut once the benchmark bounds that bookkeeping.
+# union-find, smaller ones by the BFS alone.  On the ``sweep`` workload's
+# blocks (2-core Xeon, Python 3.11.7) the two break even near 2**9
+# vertices, and the union-find is 1.5x faster at 2**10 and 4x at 2**14.
+# But perfbench keeps about 140 B of bookkeeping per completed op, so a
+# faster ``sweep`` (blocks of at most 2**16) raises its peak_rss_mb by op
+# count alone: this BFS already costs it about 6 % for 4x the ops.  Lower
+# the cut once the benchmark bounds that bookkeeping.
 _VECTOR_MIN_PERIOD = 1 << 16
 _CHUNK = 1 << 16  # edges, or vertices, per numpy batch
+# The BFS's color bytes 0 (isolated), 1 and 2 as int8 values +1, +1 and -1.
+_COLOR_TO_SIGN = bytes([1, 1, 0xFF]).ljust(256, b"\0")
 
 
 class PeriodCapExceeded(ValueError):
@@ -179,28 +186,36 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
             return Coloring(period, decided)
         first = decided
     color = bytearray(period)  # 1/2 for the two classes, 0 means unvisited
-    for root in range(first, period):
-        if color[root]:
-            continue
-        color[root] = 1  # isolated vertices stay +1 by convention
-        if not any(root % s == 0 for s in skips):
-            continue
+    # live[v] is 1 while v has an edge and is uncolored, so the roots are
+    # found by bytes.find; isolated vertices are never visited and read +1.
+    live = bytearray(period)
+    for s in skips:
+        live[::s] = b"\x01" * (period // s)
+    pairs = [(s, 2 * s) for s in skips]
+    root = live.find(1, first)
+    while root >= 0:
+        color[root] = 1
+        live[root] = 0
         order = [root]  # the BFS queue, kept whole: it stands in for parents
         for v in order:
             cv = color[v]
-            for s in skips:
-                q, r = divmod(v, s)
-                if r:
+            for s, s2 in pairs:
+                r = v % s2
+                if r == 0:
+                    u = v + s
+                elif r == s:
+                    u = v - s
+                else:
                     continue
-                u = v + s if q % 2 == 0 else v - s
-                if color[u] == 0:
+                cu = color[u]
+                if cu == 0:
                     color[u] = 3 - cv
+                    live[u] = 0
                     order.append(u)
-                elif color[u] == cv:
+                elif cu == cv:
                     return _odd_cycle(g, order, v, u)
-    values = np.frombuffer(color, dtype=np.int8).copy()
-    values[values == 2] = -1
-    return Coloring(period, values)
+        root = live.find(1, root + 1)
+    return Coloring(period, np.frombuffer(color.translate(_COLOR_TO_SIGN), dtype=np.int8))
 
 
 def two_color(g: SkipGraph) -> Coloring | None:

@@ -219,6 +219,56 @@ def test_union_find_matches_bfs_on_small_sets(monkeypatch):
     assert sum(isinstance(found, str) for found in by_bfs) == 260
 
 
+def test_bfs_golden_digest():
+    # every coloring and certificate of the 2499 blocks below 2**16 among
+    # the 2-4-subsets of 1..16, all decided by the BFS; recorded from the
+    # BFS that tested every vertex for an edge and split v by divmod
+    digest = hashlib.sha256()
+    blocks = 0
+    for k in (2, 3, 4):
+        for s in combinations(range(1, 17), k):
+            if 2 * math.lcm(*s) < skipgraph._VECTOR_MIN_PERIOD:
+                found = _certificate_bytes(solve_block(build_graph(s)))
+                digest.update(found if isinstance(found, bytes) else found.encode())
+                blocks += 1
+    assert blocks == 2499
+    assert digest.hexdigest() == "f75f727f69b17a5b10ff6f467e6dbccdaf40569af5f2df29f8a6bc360badf36e"
+
+
+@pytest.mark.parametrize(
+    "skips, minus",
+    [
+        ((4, 6), [4, 6, 12, 20]),  # 16 of the 24 vertices are isolated
+        ((3,), [3]),
+        ((1, 3), [1, 3, 5]),  # skip 1 leaves no vertex isolated
+        ((1, 4, 6), [1, 3, 4, 6, 9, 11, 12, 15, 17, 19, 20, 23]),
+    ],
+)
+def test_bfs_coloring_pinned(skips, minus):
+    # each component's least vertex is +1 and every isolated vertex is +1
+    g = build_graph(skips)
+    coloring = solve_block(g)
+    assert isinstance(coloring, Coloring)
+    assert coloring_is_proper(coloring, g)
+    assert [v for v in range(g.period) if coloring[v] < 0] == minus
+
+
+def test_bfs_odd_cycle_in_a_later_component():
+    # the triangle of {2, 3, 5} lies in the component whose least vertex
+    # is 40, so the BFS colors the earlier components before it
+    g = build_graph([2, 3, 5])
+    reached, stack = {0}, [0]
+    while stack:
+        for u in g.neighbors(stack.pop()):
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    assert 40 not in reached
+    cert = solve_block(g)
+    assert format_pattern(cert.signed_pattern) == "[+2 +3 -5]"
+    assert cert.start == 40
+
+
 @pytest.mark.parametrize(
     "skips, digest",
     [((1, 5, 23, 43, 53), "294167fb12f6295d"), ((7, 9, 11, 13, 16), "23ef11b87552efd7")],
