@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -284,11 +285,18 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         try:
             payload, human, code = args.func(args)
-            print(json.dumps(payload) if args.json else human)
-            return code
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        try:
+            print(json.dumps(payload) if args.json else human, flush=True)
+        except BrokenPipeError:
+            # The reader closed early (``| head``): stdout goes to devnull so
+            # the flush at exit cannot fail again, and the verb keeps its code.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -14,11 +14,12 @@ of the skips strictly between them:
 Equivalently, the start term T must solve one congruence per step (step
 k leaves from an even multiple of a_k when positive, an odd multiple when
 negative).  One signing walk decides every verdict: it merges these
-congruences step by step, trying + then - on an unsigned pattern, and
-reports the least nonnegative solution as the witness start.  Strict
-realizability additionally demands that the walk repeat no term or arc
-(an arc repeat implies a term repeat, so only terms are checked), which
-depends only on the pattern, not on the chosen start.
+congruences step by step, admitting + then - on an unsigned pattern by
+one residue test, and reports the least nonnegative solution as the
+witness start.  Strict realizability additionally demands that the walk
+repeat no term or arc (an arc repeat implies a term repeat, so only
+terms are checked), which depends only on the pattern, not on the
+chosen start.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numeric import crt_merge, two_adic_valuation
+from .numeric import two_adic_valuation
 from .pattern import AnyPattern, Pattern, SignedPattern, realize
 
 FORBIDDEN = "forbidden"
@@ -171,12 +172,29 @@ def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
     return None
 
 
+def _step_row(modulus: int, a: int) -> tuple[int, bool, int, int]:
+    """The step row ``(g, both, step, inv)`` of skip ``a`` against a start
+    congruence modulo ``modulus``: g = gcd(modulus, 2a), ``both`` whether
+    g divides a, step = 2a / g and inv = (modulus / g)^-1 mod step.  The
+    step congruence (c, 2a) merges into (residue, modulus) iff g divides
+    c - residue; the signs' c differ by a, which is 0 or g/2 mod g, so
+    both pass only when g divides a.  For 0 <= residue < modulus the merge
+    is crt_merge's, residue + modulus * ((c - residue) / g * inv mod step)
+    mod modulus * step: the identity when step == 1, i.e. when 2a divides
+    the modulus."""
+    g = math.gcd(modulus, 2 * a)
+    step = 2 * a // g
+    return g, a % g == 0, step, pow(modulus // g, -1, step)
+
+
 def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     """Weakly realizable signings of ``p`` in lexicographic order (+ before
     -), each with its least witness start.  A signed pattern offers its own
-    sign at each step, an unsigned one + then -; one congruence merge per
-    step prunes a failing prefix with its subtree.  A stack frame is (sign
-    that reached it, untried signs, step offset, merged congruence).
+    sign at each step, an unsigned one + then -; the step row's residue
+    gate admits a sign before any merge, so a failing prefix is pruned
+    with its subtree and every merge runs on a sign that passed.  A stack
+    frame is (sign that reached it, untried signs, step offset, merged
+    congruence as residue and modulus, step row of its skip).
 
     At most two signings are yielded (proved).  A start fixes its walk,
     since a step leaves up from an even multiple of its skip and down from
@@ -193,19 +211,22 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     skips = p.skips
     n = len(skips)
     offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * n
-    stack = [(0, iter(offers[0]), 0, (0, 1))]
+    stack = [(0, iter(offers[0]), 0, 0, 1, _step_row(1, skips[0]))]
     while stack:
-        _, untried, offset, acc = stack[-1]
+        _, untried, offset, residue, modulus, (g, _, step, inv) = stack[-1]
         k = len(stack) - 1
         for sign in untried:
-            merged = crt_merge(acc, step_congruence(sign, skips[k], offset))
-            if merged is None:
+            diff = step_congruence(sign, skips[k], offset)[0] - residue
+            if diff % g:
                 continue
+            merged = residue + modulus * (diff // g * inv % step)
             if k + 1 < n:
-                stack.append((sign, iter(offers[k + 1]), offset + sign * skips[k], merged))
+                child = modulus * step
+                row = _step_row(child, skips[k + 1])
+                stack.append((sign, iter(offers[k + 1]), offset + sign * skips[k], merged, child, row))
                 break
             signs = [frame[0] for frame in stack[1:]] + [sign]
-            yield SignedPattern(tuple(zip(signs, skips))), merged[0]
+            yield SignedPattern(tuple(zip(signs, skips))), merged
         else:
             stack.pop()
 

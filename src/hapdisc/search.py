@@ -14,12 +14,15 @@ The depth-first search enumerates signed extensions and prunes by
 congruence, freshness and distance only: a single incrementally merged
 start-term congruence, which decides weak realizability of the whole
 prefix, term freshness, and for cycles the distance still to cover back
-to the start.  Each skip is gated by one exact residue test against the
-node's congruence: with g = gcd(modulus, 2a), both signs of the skip a
-can extend it only when g divides a, and otherwise at most one can.
-Only the signs that pass are merged, so no merge in the search fails.
-It runs none of the window rules, which can only cut what these checks
-cut already (see ``_search``).  Every surviving node is therefore a
+to the start.  A node carries its congruence as two ints, and each
+skip a has one cached step row per modulus (``_step_row``): g =
+gcd(modulus, 2a), whether g divides a, and the step and inverse of the
+merge.  One exact residue test modulo g gates both signs (both can pass
+only when g divides a), and a sign that passes merges by plain integer
+arithmetic, no ``crt_merge``.  Once 2a divides the modulus, as it does
+for every skip once the modulus reaches the period 2 * lcm(skips), the
+merge is the identity.  It runs none of the window rules, which can only
+cut what these checks cut already (see ``_search``).  Every surviving node is therefore a
 realizable path; cycle candidates additionally need an odd length and a
 zero signed sum.  Among maximum-length candidates the result is the one
 with the least witness start, then lexicographically least signs (+
@@ -29,18 +32,16 @@ before -), then skips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable
 
-from .numeric import crt_merge
 from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_skips
 from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
     _signings,
+    _step_row,
     _subpath_reports,
     check_subpath,
-    step_congruence,
     strict_realizability,
     valid_odd_cycle,
 )
@@ -117,6 +118,10 @@ def _adjacent_parity(same_sign: bool):
 
 
 def _gcd_span_signed(p):
+    # Weakly realizable iff every span passes, so the O(n^2) span scan runs
+    # only when the O(n) signing walk rejects the pattern.
+    if next(_signings(p), None) is not None:
+        return None
     failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
     return None if failure is None else (failure.i, failure.j)
 
@@ -181,17 +186,17 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     max_skip = skip_list[-1]
 
     best: tuple | None = None
+    best_len = 0
     truncated = False
     steps: list[tuple[int, int]] = []
     seen = {0}
-    # (a, gcd(modulus, 2a), whether that gcd divides a) for every skip,
-    # per modulus; the moduli divide 2 * lcm(skips), so there are few
-    gates: dict[int, tuple[tuple[int, int, bool], ...]] = {}
+    # per modulus, each skip a with its step row (``_step_row``), the
+    # modulus its merge leaves and -a mod g (moduli divide 2 * lcm(skips))
+    gates: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
-        nonlocal best
-        if best is not None and length < -best[0]:
-            return  # shorter than the best: its tie-break key cannot matter
+        # called only when length >= best_len, so only the tie-break is left
+        nonlocal best, best_len
         all_steps = steps + [closing] if closing else steps
         key = (
             -length,
@@ -201,32 +206,25 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
         )
         if best is None or key < best:
             best = key + (tuple(all_steps),)
+            best_len = length
 
-    def recurse(base: int, acc: tuple[int, int]) -> None:
+    def recurse(base: int, residue: int, modulus: int, depth: int) -> None:
         nonlocal truncated
-        depth = len(steps)
         if depth == max_len:
             truncated = True
             return
-        residue, modulus = acc
         gate = gates.get(modulus)
         if gate is None:
-            gate = gates[modulus] = tuple(
-                (a, g, a % g == 0) for a in skip_list for g in [gcd(modulus, 2 * a)]
-            )
+            rows = [(a, _step_row(modulus, a)) for a in skip_list]
+            gate = gates[modulus] = tuple((a, *row, modulus * row[2], -a % row[0]) for a, row in rows)
         offset = -base - residue
-        for a, g, both in gate:
-            # The step (sign, a) from ``base`` merges into ``acc`` iff
-            # g = gcd(modulus, 2a) divides its residue difference, so one
-            # residue d of -base - residue decides both signs exactly: +a
-            # needs d == 0 and -a needs d + a == 0 (mod g).  As g divides
-            # 2a, a is 0 or g/2 (mod g): both signs survive only when g
-            # divides a, and otherwise at most one does.  The merge runs
-            # on survivors only.
+        for a, g, both, step, inv, child, neg in gate:
+            # The step (sign, a) from ``base`` has residue -base (+a when
+            # down), so +a merges iff d == 0 and -a iff d == -a (mod g).
             d = offset % g
             if d == 0:
                 signs = (1, -1) if both else (1,)
-            elif (d + a) % g == 0:
+            elif d == neg:
                 signs = (-1,)
             else:
                 continue
@@ -254,20 +252,22 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                         continue
                 elif cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
                     continue
-                merged = crt_merge(acc, step_congruence(sign, a, base))
-                assert merged is not None  # the residue test above admitted it
+                merged = residue  # the step row's merge is the identity when step == 1
+                if step > 1:
+                    merged += modulus * ((offset if sign > 0 else offset + a) // g * inv % step)
                 if closes:
-                    consider(depth + 1, merged[0], (sign, a))
+                    if depth + 1 >= best_len:
+                        consider(depth + 1, merged, (sign, a))
                     continue
                 steps.append((sign, a))
                 seen.add(new_sum)
-                if not cycles:
-                    consider(depth + 1, merged[0], None)
-                recurse(new_sum, merged)
+                if not cycles and depth + 1 >= best_len:
+                    consider(depth + 1, merged, None)
+                recurse(new_sum, merged, child, depth + 1)
                 seen.discard(new_sum)
                 steps.pop()
 
-    recurse(0, (0, 1))
+    recurse(0, 0, 1, 0)
     if best is None:
         return None, truncated
     neg_len, start, _, _, found = best

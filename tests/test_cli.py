@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +303,26 @@ def test_output_contract(capsys, tmp_path, argv, exit_code, as_json):
     assert len(lines) == 2 and lines[0] and lines[1] == ""
     if as_json:
         assert isinstance(json.loads(lines[0]), dict)
+
+
+@pytest.mark.parametrize(
+    "skips,read,exit_code",
+    [
+        # a 524 170-token coloring whose reader stops after 10 bytes
+        ("1,5,23,43,53", 10, 0),
+        # a forcing set whose reader is gone before the one line is written
+        ("1,2,3", 0, 1),
+    ],
+)
+def test_closed_pipe_keeps_the_exit_code(skips, read, exit_code):
+    env = dict(os.environ, PYTHONPATH=str(Path(hapdisc.cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "hapdisc.cli", "color", "-s", skips]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        if read:
+            assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == exit_code
+        assert proc.stderr.read() == b""
 
 
 def test_usage_error_on_bad_skips(capsys):

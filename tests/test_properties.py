@@ -28,6 +28,7 @@ from hapdisc.realizability import (
     SubpathReport,
     _sign_free_divisibility_failure,
     _signings,
+    _step_row,
     _subpath_reports,
     check_subpath,
     step_congruence,
@@ -366,23 +367,29 @@ def test_crt_merge_fold_matches_brute_force(pairs):
     st.integers(-500, 500),
     st.integers(1, 60),
 )
-def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
+@example(folded=[(1, 6, 0)], base=0, a=3)  # 2a divides the modulus 12
+@example(folded=[(1, 6, 0)], base=0, a=12)  # g = 12 divides a
+def test_step_row_admits_and_merges_exactly_as_crt_merge(folded, base, a):
     # the start-term congruence of a search node, folded from step
     # congruences; a step that does not merge is left out, as the DFS would
     acc = (0, 1)
     for sign, skip, offset in folded:
         acc = crt_merge(acc, step_congruence(sign, skip, offset)) or acc
-    # the gate of search._search: one residue test per skip
     residue, modulus = acc
-    g = math.gcd(modulus, 2 * a)
-    d = (-base - residue) % g
-    if d == 0:
-        admitted = {1, -1} if a % g == 0 else {1}
-    elif (d + a) % g == 0:
-        admitted = {-1}
-    else:
-        admitted = set()
-    merging = {s for s in (1, -1) if crt_merge(acc, step_congruence(s, a, base)) is not None}
+    g, both, step, inv = _step_row(modulus, a)
+    # one step from the term ``base`` as the search and the signing walk
+    # take it: the residue gate, then the merge the row makes plain
+    offset = -base - residue
+    admitted = {}
+    for sign, diff in ((1, offset), (-1, offset + a)):
+        if diff % g == 0:
+            admitted[sign] = (residue + modulus * (diff // g * inv % step), modulus * step)
+    merging = {}
+    for sign in (1, -1):
+        merged = crt_merge(acc, step_congruence(sign, a, base))
+        if merged is not None:
+            merging[sign] = merged
     assert admitted == merging
-    if a % g:
-        assert len(merging) <= 1
+    assert len(merging) in ((0, 2) if both else (0, 1))
+    if step == 1:
+        assert all(merged == acc for merged in merging.values())

@@ -7,9 +7,8 @@ from itertools import combinations, product
 import pytest
 
 from hapdisc import search
-from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
-from hapdisc.realizability import strict_realizability, valid_odd_cycle
+from hapdisc.realizability import _subpath_reports, strict_realizability, valid_odd_cycle
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
 
 
@@ -274,22 +273,6 @@ def test_search_results_pass_rule_scan():
             assert not rule_scan(p).forbidden, (result, rule_scan(p))
 
 
-def test_search_merges_only_surviving_steps(monkeypatch):
-    # the residue gate is exact, so every merge the DFS asks for succeeds
-    results = []
-
-    def recording_merge(a, b):
-        results.append(crt_merge(a, b))
-        return results[-1]
-
-    monkeypatch.setattr(search, "crt_merge", recording_merge)
-    for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37]):
-        longest_path(skips, 64)
-        longest_odd_cycle(skips, 25)
-    assert results
-    assert None not in results
-
-
 def test_golden_digest():
     # every path and odd-cycle result on the 1 079 subsets of 1..13 with
     # 2-4 elements and 40 seeded 5-subsets of 1..40
@@ -302,3 +285,29 @@ def test_golden_digest():
         lines.append(repr(longest_odd_cycle(s, 19)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b3be9729ae0a2533d610e8b5e060b1a72dd74df40f00ef2ad98aaf891c60384b"
+
+
+def test_signed_rule_scan_matches_the_span_scan():
+    # every signing of the rows above plus 2 000 seeded random signed
+    # patterns: GCD-span reports the first span the full scan fails on,
+    # although it skips that scan when the signing walk succeeds, and
+    # rule_scan's verdicts are those recorded before it skipped it
+    patterns = []
+    for text, _, _ in FIRES + SIGN_RULES:
+        skips = parse_pattern(text).skips
+        for signs in product((1, -1), repeat=len(skips)):
+            patterns.append(SignedPattern(tuple(zip(signs, skips))))
+    rng = random.Random(16)
+    for _ in range(2000):
+        skips = [rng.randint(1, 24) for _ in range(rng.randint(2, 9))]
+        patterns.append(SignedPattern(tuple((rng.choice((1, -1)), a) for a in skips)))
+    failing = 0
+    for p in patterns:
+        first = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
+        failing += first is not None
+        assert search._gcd_span_signed(p) == (None if first is None else (first.i, first.j))
+    assert failing == 1613
+    lines = [repr(rule_scan(p)) for p in patterns]
+    assert sum("GCD-span" in line for line in lines) == 24
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1b8ca72fe606985e8a80a8629ab98b8d2f8060c8b4feb68e1d1478c17613dfa8"
