@@ -369,7 +369,7 @@ def test_crt_merge_fold_matches_brute_force(pairs):
 )
 @example(folded=[(1, 6, 0)], base=0, a=3)  # 2a divides the modulus 12
 @example(folded=[(1, 6, 0)], base=0, a=12)  # g = 12 divides a
-def test_step_row_admits_and_merges_exactly_as_crt_merge(folded, base, a):
+def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
     # the start-term congruence of a search node, folded from step
     # congruences; a step that does not merge is left out, as the DFS would
     acc = (0, 1)

@@ -6,9 +6,15 @@ from itertools import combinations, product
 
 import pytest
 
-from hapdisc import search
+from hapdisc import realizability, search
+from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
-from hapdisc.realizability import _subpath_reports, strict_realizability, valid_odd_cycle
+from hapdisc.realizability import (
+    _subpath_reports,
+    step_congruence,
+    strict_realizability,
+    valid_odd_cycle,
+)
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
 
 
@@ -271,6 +277,41 @@ def test_search_results_pass_rule_scan():
     for result in filter(None, results):
         for p in (result.signed, result.pattern):
             assert not rule_scan(p).forbidden, (result, rule_scan(p))
+
+
+def test_search_merges_only_surviving_steps(monkeypatch):
+    # the DFS builds each step row once per modulus, and on every row it
+    # builds the residue gate admits exactly the steps crt_merge merges,
+    # with crt_merge's congruence
+    rows = []
+
+    def recording_row(modulus, a):
+        rows.append((modulus, a, realizability._step_row(modulus, a)))
+        return rows[-1][2]
+
+    monkeypatch.setattr(search, "_step_row", recording_row)
+    rng = random.Random(15)
+    checked = 0
+    for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37]):
+        for run in (lambda: longest_path(skips, 64), lambda: longest_odd_cycle(skips, 25)):
+            rows.clear()
+            run()
+            keys = [(modulus, a) for modulus, a, _ in rows]
+            assert keys and len(set(keys)) == len(keys)
+            for modulus, a, (g, _, step, inv) in rows:
+                residues = range(modulus) if modulus <= 16 else rng.sample(range(modulus), 16)
+                for residue in residues:
+                    for base in range(-a, a):
+                        offset = -base - residue
+                        for sign, diff in ((1, offset), (-1, offset + a)):
+                            merged = crt_merge((residue, modulus), step_congruence(sign, a, base))
+                            if diff % g:
+                                assert merged is None
+                            else:
+                                checked += 1
+                                k = diff // g * inv % step
+                                assert merged == (residue + modulus * k, modulus * step)
+    assert checked
 
 
 def test_golden_digest():
