@@ -19,18 +19,22 @@ with parity decides the block from the edges of one skip at a time, in
 chunks, so no graph is materialized either way; the BFS then runs only
 on an odd component, to build its cycle.  The cut is set by the
 benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).
+
+numpy is imported only when a block is solved or a coloring is built, so
+the verbs that never build a block graph do not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .pattern import SignedPattern, realize, sorted_skips
 from .realizability import valid_odd_cycle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_PERIOD_CAP = 1 << 24
 
@@ -93,6 +97,8 @@ class Coloring:
         return int(self.values[v % self.period])
 
     def line(self) -> str:
+        import numpy as np
+
         text = np.empty((self.values.size, 3), dtype=np.uint8)
         text[:, 0] = ord("-")
         text[self.values > 0, 0] = ord("+")
@@ -102,6 +108,8 @@ class Coloring:
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "Coloring":
+        import numpy as np
+
         arr = np.asarray(values, dtype=np.int8)
         if arr.ndim != 1 or arr.size == 0 or not np.all(np.abs(arr) == 1):
             raise ValueError("coloring must be a nonempty sequence of +1/-1")
@@ -133,6 +141,8 @@ def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
     one, so each component ends rooted at its least vertex, and the parity
     relative to it is the BFS's coloring exactly; isolated vertices stay +1.
     """
+    import numpy as np
+
     period = g.period
     dtype = np.int32 if 2 * period < 1 << 31 else np.int64
     key = np.arange(0, 2 * period, 2, dtype=dtype)
@@ -215,6 +225,8 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
                 elif cu == cv:
                     return _odd_cycle(g, order, v, u)
         root = live.find(1, root + 1)
+    import numpy as np
+
     return Coloring(period, np.frombuffer(color.translate(_COLOR_TO_SIGN), dtype=np.int8))
 
 
@@ -282,6 +294,8 @@ def verify_discrepancy(coloring: Coloring, skips: Iterable[int], horizon: int) -
     reads the color of vertex -i mod period.  Each skip costs at most one
     period of work, however far the horizon reaches.
     """
+    import numpy as np
+
     ss = sorted_skips(skips)
     if horizon < max(ss):
         raise ValueError(f"horizon {horizon} is below max skip {max(ss)}")
