@@ -15,6 +15,7 @@ scripts can branch on it), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -197,6 +198,7 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
     return {"max_discrepancy": worst, "horizon": args.horizon}, human, 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hapdisc",
@@ -278,7 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Integers of any size are read and printed exactly, so CPython's
     # int<->str digit limit is lifted for this run and the caller's value
-    # restored after it: tests and benchmarks call main in-process.
+    # restored after it: tests and benchmarks call main in-process.  The
+    # parser is built once per process; each parse_args returns a fresh
+    # Namespace, and the verbs look up the library functions they call at
+    # call time.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -15,10 +15,16 @@ s-neighbour, v + s when v % 2s is 0 and v - s when it is s, so degrees
 are at most |S|.  The BFS takes its roots, in ascending order, from a
 byte mask of the uncolored vertices that are a multiple of some skip, so
 it never visits an isolated vertex.  From 2**16 on a numpy union-find
-with parity decides the block from the edges of one skip at a time, in
-chunks, so no graph is materialized either way; the BFS then runs only
-on an odd component, to build its cycle.  The cut is set by the
-benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).
+with parity decides the block; the BFS then runs only on an odd
+component, to build its cycle.  The cut is set by the benchmark, not by
+solve time (see ``_VECTOR_MIN_PERIOD``).  Unless 1 is a skip, the
+union-find runs on the vertices that are a multiple of some skip alone,
+numbered in ascending order.  That relabel is monotone, so the least
+label of a component is its least vertex and both algorithms still agree.
+The union-find reads every edge, made per skip in chunks, for two rounds
+only: an edge whose ends share a root shares it for good, so later rounds
+read just the few edges that still join two roots.  No graph is
+materialized either way.
 
 numpy is imported only when a block is solved or a coloring is built, so
 the verbs that never build a block graph do not load it.
@@ -129,53 +135,134 @@ class OddCycleCertificate:
 
 def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
     """Decide one block without walking it: the +1/-1 values of its
-    2-coloring, or the least vertex of the first component that holds an
-    edge between two vertices of one parity.
+    2-coloring, or ``first``, the least vertex of the first component that
+    holds an edge between two vertices of one parity.
 
     ``key[v]`` is 2*parent + the parity of v relative to its parent.  Each
     round hooks the root of every edge's larger end to the smaller root,
     with the parity the edge implies, keeping the least offer per root
     (the hooking of Shiloach and Vishkin, J. Algorithms 3, 1982), then
-    jumps pointers until every vertex points at its root.  Rounds repeat
-    until no edge joins two roots.  A root only ever hooks to a smaller
-    one, so each component ends rooted at its least vertex, and the parity
-    relative to it is the BFS's coloring exactly; isolated vertices stay +1.
+    jumps pointers.  Rounds repeat until no edge joins two roots.  A root
+    only ever hooks to a smaller one, so each component ends rooted at its
+    least vertex, and the parity relative to it is the BFS's coloring
+    exactly; isolated vertices stay +1.
+
+    Without skip 1 only the multiples of some skip have edges, so the
+    union-find runs on those live vertices alone, numbered in ascending
+    order.  The relabel is monotone: the least label of a component is its
+    least vertex, and a parent still precedes its child.  Roots, parities
+    and ``first`` are therefore those of the whole block.  With skip 1
+    every vertex is live, and the union-find runs on the block as it is.
+
+    The first round hooks batch after batch, on keys that earlier batches
+    may have left stale; each hook it makes is still implied by the edges,
+    and the second round reads every edge again.  Both rounds make the
+    edges afresh per chunk, so that none holds every edge of a large block.
+    Ends that share a root share it for good, at a fixed relative parity,
+    so a settled edge never hooks again: the second round keeps only the
+    edges that still join two roots, a few percent of them, and later
+    rounds read just those.  Such a round jumps only the roots hooked since
+    the first round and the ends of its edges, and one pass at the end puts
+    every vertex on its root.  A settled edge of equal parities closes an
+    odd cycle and is noted as it is seen; ``first`` is the least final root
+    among the noted edges.
     """
     import numpy as np
 
     period = g.period
     dtype = np.int32 if 2 * period < 1 << 31 else np.int64
-    key = np.arange(0, 2 * period, 2, dtype=dtype)
-    hooked = True
-    while hooked:
-        hooked = False
-        first = period
+    live = label = None
+    n = period
+    if g.skips[0] != 1:
+        mask = np.zeros(period, dtype=bool)
         for s in g.skips:
-            stride = 2 * s * _CHUNK
-            for lo in range(0, period, stride):
-                u = np.arange(lo, min(lo + stride, period), 2 * s, dtype=dtype)
-                ku, kw = key[u], key[u + s]
-                ru, rw = ku >> 1, kw >> 1
-                flip = (ku ^ kw ^ 1) & 1  # parity of rw relative to ru
-                joins = ru != rw
-                if joins.any():
-                    hooked = True
-                    ru, rw, flip = ru[joins], rw[joins], flip[joins]
-                    np.minimum.at(key, np.maximum(ru, rw), 2 * np.minimum(ru, rw) + flip)
-                elif flip.any():  # one root, equal parities: an odd cycle
-                    first = min(first, int(ru[flip == 1].min()))
-        # Parents precede their children, so a batch whose earlier batches
-        # are flat needs only its own pointers jumped.
-        for lo in range(0, period, _CHUNK):
+            mask[::s] = True
+        live = np.flatnonzero(mask)  # the vertices with an edge, ascending
+        label = np.empty(period, dtype=dtype)  # read at live vertices only
+        n = live.size
+        label[live] = np.arange(n, dtype=dtype)
+    key = np.arange(0, 2 * n, 2, dtype=dtype)
+    for u, w in _edges(g, label, dtype):
+        _hook(key, u, w)
+    for lo in range(0, n, _CHUNK):  # parents precede children: earlier batches are flat
+        _jump(key, slice(lo, lo + _CHUNK))
+    hooked = np.empty(0, dtype=dtype)  # the roots hooked since the first round
+    batches = _edges(g, label, dtype)
+    odd = []
+    while True:
+        kept_u, kept_w = [], []
+        for u, w in batches:
+            ku, kw = key[u], key[w]
+            joins = ku >> 1 != kw >> 1
+            odd.append(u[~joins & ((ku ^ kw) & 1 == 0)])  # one root, equal parities
+            kept_u.append(u[joins])
+            kept_w.append(w[joins])
+        u, w = np.concatenate(kept_u), np.concatenate(kept_w)
+        if not u.size:
+            break
+        ku, kw = key[u], key[w]
+        hooked = np.concatenate([hooked, _hook(key, u, w)])
+        _jump(key, hooked)
+        key[u] = key[ku >> 1] ^ (ku & 1)  # the ends onto their new roots
+        key[w] = key[kw >> 1] ^ (kw & 1)
+        batches = [(u, w)]
+    if hooked.size:  # every parent is now a root or points at one
+        for lo in range(0, n, _CHUNK):
             part = key[lo : lo + _CHUNK]
-            while True:
-                up = key[part >> 1]
-                if np.array_equal(up >> 1, part >> 1):
-                    break
-                part[...] = up ^ (part & 1)
-    if first < period:
-        return first
-    return 1 - 2 * (key & 1).astype(np.int8)
+            part[...] = key[part >> 1] ^ (part & 1)
+    odd = np.concatenate(odd)
+    if odd.size:
+        first = int((key[odd] >> 1).min())
+        return first if live is None else int(live[first])
+    if live is None:
+        return 1 - 2 * (key & 1).astype(np.int8)
+    values = np.ones(period, dtype=np.int8)
+    values[live] = 1 - 2 * (key & 1)
+    return values
+
+
+def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hook the root of each edge's larger end to the smaller root, keeping
+    the least offer per root; returns the roots that were offered one."""
+    import numpy as np
+
+    ku, kw = key[u], key[w]
+    ru, rw = ku >> 1, kw >> 1
+    flip = (ku ^ kw ^ 1) & 1  # parity of rw relative to ru
+    top = np.maximum(ru, rw)
+    np.minimum.at(key, top, 2 * np.minimum(ru, rw) + flip)
+    return top
+
+
+def _edges(g: SkipGraph, label: np.ndarray | None, dtype):
+    """The edges (u, u + s) of each skip s, u an even multiple of s, in
+    batches of at most ``_CHUNK``: as labels when ``label`` is given, else
+    as vertices."""
+    import numpy as np
+
+    period = g.period
+    for s in g.skips:
+        stride = 2 * s * _CHUNK
+        for lo in range(0, period, stride):
+            hi = min(lo + stride, period)
+            if label is None:
+                u = np.arange(lo, hi, 2 * s, dtype=dtype)
+                yield u, u + s
+            else:
+                yield label[lo : hi : 2 * s], label[lo + s : hi : 2 * s]
+
+
+def _jump(key: np.ndarray, at) -> None:
+    """Jump the pointers ``key[at]`` until each points at a root.  The
+    parent of each must be a root, in ``at``, or point at a root."""
+    import numpy as np
+
+    while True:
+        k = key[at]
+        up = key[k >> 1] ^ (k & 1)
+        if np.array_equal(up, k):  # every parent is a root
+            return
+        key[at] = up
 
 
 def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:

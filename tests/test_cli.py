@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hapdisc.cli
 from hapdisc.cli import main
@@ -335,3 +339,103 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- every verb on small, partly malformed argv, all in one process ---------
+
+_ints = st.integers(-3, 20).map(str)  # at most 20, so no --max-len drawn exceeds 20
+_junk = st.sampled_from(
+    ["", "x", "-", "--", "-s", "-p", "-a", "--json", "--kind", "--start", "--horizon",
+     "--coloring", "--max-len", "--max-period", "--erdos-indexing", "--bogus", "-h",
+     "1,,2", "1.5", "1e3", "0x10", "[", "]", "[+2 +1 -3]", "[2 0 1]", "+", "color", "path"]
+)
+_token = st.one_of(_ints, _junk)
+_skips = st.one_of(
+    st.lists(st.integers(1, 24), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-2, 24), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    _token,
+)
+_pattern = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["", "+", "-"]), st.integers(0, 12)), min_size=1, max_size=6
+    ).map(lambda steps: "[" + " ".join(f"{s}{a}" for s, a in steps) + "]"),
+    _token,
+)
+_big = st.one_of(st.integers(-50, 10**6), st.integers(10**30, 10**31)).map(str)
+
+
+@st.composite
+def _argv(draw, coloring_files):
+    """A verb, the budget it runs under, and a body of 40 tokens or fewer:
+    a well-formed body, the same with one token replaced, inserted or
+    dropped, or tokens drawn at random."""
+    verb = draw(st.sampled_from(
+        ["classify", "color", "cycle", "check", "realize", "longest", "reduce", "verify"]
+    ))
+    budget = []
+    if verb in ("color", "cycle"):
+        budget = ["--max-period", str(draw(st.one_of(st.just(1 << 14), st.integers(0, 1 << 14))))]
+    elif verb == "longest":
+        budget = ["--max-len", str(draw(st.integers(1, 20)))]
+    body = {
+        "classify": lambda: ["-s", draw(_skips)],
+        "color": lambda: ["-s", draw(_skips), *draw(st.sampled_from([[], ["--erdos-indexing"]]))],
+        "cycle": lambda: ["-s", draw(_skips), *draw(st.sampled_from([[], ["--erdos-indexing"]]))],
+        "check": lambda: ["-p", draw(_pattern)],
+        "realize": lambda: ["-p", draw(_pattern), "--start", draw(_big)],
+        "longest": lambda: ["-s", draw(_skips), "--kind", draw(st.sampled_from(["path", "cycle", "x"]))],
+        "reduce": lambda: ["-a", draw(st.lists(st.integers(-3, 60), min_size=1, max_size=6).map(
+            lambda xs: ",".join(map(str, xs))))],
+        "verify": lambda: ["--coloring", draw(st.sampled_from(coloring_files)), "-s", draw(_skips),
+                           "--horizon", draw(_big)],
+    }[verb]()
+    body += draw(st.sampled_from([[], ["--json"]]))
+    how = draw(st.sampled_from(["keep", "keep", "replace", "insert", "drop", "random"]))
+    if how == "random":
+        body = draw(st.lists(_token, max_size=36))
+    elif how != "keep":
+        at = draw(st.integers(0, len(body) - (how != "insert")))
+        tail = body[at + (how != "insert"):]
+        body = body[:at] + ([] if how == "drop" else [draw(_token)]) + tail
+    return [verb, *budget, *body]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+        except SystemExit as exc:  # argparse: --help, --version or a usage error
+            assert exc.code in (0, 2), (argv, exc.code)
+            code = f"SystemExit({exc.code})"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def coloring_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("colorings")
+    files = {"good.txt": "+1 -1 +1 -1", "bad.txt": "+1 0 -1", "empty.txt": ""}
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return [str(root / name) for name in [*files, "missing.txt"]]
+
+
+def test_main_exit_codes_on_any_small_argv(coloring_files):
+    # main returns 0, 1 or 2, or argparse exits 0 or 2, and nothing else
+    # escapes.  The parser is built once per process, so a second run of
+    # the same argv must print and return exactly what the first did.
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_argv(coloring_files))
+    @example(["--version"])
+    @example(["color", "--max-period", "16384", "-s", "2,3,4"])
+    @example(["color", "--max-period", "16384", "-s", "1,2,3", "--erdos-indexing"])
+    @example(["classify", "-s", "1,2,3", "--json"])
+    @example(["verify", "--coloring", coloring_files[0], "-s", "1", "--horizon", "8"])
+    @example(["longest", "--max-len", "5", "-s", "1,5,7", "--max-len", "0"])
+    @example([])
+    def check(argv):
+        assert len(argv) <= 40
+        assert _run_in_process(argv) == _run_in_process(argv), argv
+
+    check()

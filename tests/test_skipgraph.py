@@ -271,7 +271,11 @@ def test_bfs_odd_cycle_in_a_later_component():
 
 @pytest.mark.parametrize(
     "skips, digest",
-    [((1, 5, 23, 43, 53), "294167fb12f6295d"), ((7, 9, 11, 13, 16), "23ef11b87552efd7")],
+    [
+        ((1, 5, 23, 43, 53), "294167fb12f6295d"),
+        ((7, 9, 11, 13, 16), "23ef11b87552efd7"),
+        ((17, 28, 29, 60), "25a82d6fa3ca6c0b"),  # 86 % of the block isolated
+    ],
 )
 def test_large_block_coloring_pinned(skips, digest):
     # recorded from the BFS over the whole block
@@ -285,6 +289,7 @@ def test_large_block_coloring_pinned(skips, digest):
     [
         ((13, 24, 27, 51), 4080, "[+24 +27 -51]", 4080),
         ((1, 5, 21, 34, 40, 54), 23760, "[+40 +34 +1 -21 -54]", 23760),
+        ((14, 18, 28, 33, 48, 57), 10584, "[+28 +14 +33 -57 -18]", 10584),
     ],
 )
 def test_large_block_certificate_pinned(skips, first, pattern, start):
@@ -299,13 +304,16 @@ def test_large_block_certificate_pinned(skips, first, pattern, start):
 
 
 def test_union_find_memory_stays_flat():
-    # a 524170-vertex block: no materialized graph or double cover, and no
-    # int64 edge arrays
-    g = build_graph([1, 5, 23, 43, 53])
-    tracemalloc.start()
-    try:
-        solve_block(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
+    # a dense 524170-vertex block, whose edges are made per chunk each
+    # round, and a sparse 414120-vertex one, relabelled to its live
+    # vertices: no materialized graph or double cover, and no int64 edge
+    # arrays
+    for skips in ((1, 5, 23, 43, 53), (17, 28, 29, 60)):
+        g = build_graph(skips)
+        tracemalloc.start()
+        try:
+            solve_block(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, (skips, peak)
