@@ -43,17 +43,13 @@ from .skipgraph import (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise UsageError(f"cannot parse {what} {text!r}; expected comma-separated integers")
+        raise ValueError(f"cannot parse {what} {text!r}; expected comma-separated integers")
     if not values:
-        raise UsageError(f"{what} must be nonempty")
+        raise ValueError(f"{what} must be nonempty")
     return values
 
 
@@ -123,12 +119,12 @@ def _cmd_realize(args) -> tuple[dict, str, int]:
     p, start = parse_pattern(args.pattern), args.start
     if isinstance(p, Pattern):
         if start is None:
-            raise UsageError("--start is required for unsigned patterns")
+            raise ValueError("--start is required for unsigned patterns")
         p = infer_signs(p, start)
     elif start is None:
         start = weakly_realizable(p).witness_start
         if start is None:
-            raise UsageError("pattern is not weakly realizable; give --start explicitly")
+            raise ValueError("pattern is not weakly realizable; give --start explicitly")
     walk = realize(p, start)
     human = f"{format_pattern(p)} at {start}: terms {' '.join(map(str, walk.terms))}"
     if walk.parity_violations:
@@ -176,7 +172,7 @@ def _read_coloring(path: str) -> Coloring:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
     except OSError as exc:
-        raise UsageError(f"cannot read coloring file {path}: {exc.strerror}")
+        raise ValueError(f"cannot read coloring file {path}: {exc.strerror}")
     values = []
     for tok in tokens:
         if tok in ("+1", "1", "+"):
@@ -184,9 +180,9 @@ def _read_coloring(path: str) -> Coloring:
         elif tok in ("-1", "-"):
             values.append(-1)
         else:
-            raise UsageError(f"bad coloring token {tok!r}; expected +1 or -1")
+            raise ValueError(f"bad coloring token {tok!r}; expected +1 or -1")
     if not values:
-        raise UsageError(f"coloring file {path} is empty")
+        raise ValueError(f"coloring file {path} is empty")
     return Coloring.from_values(values)
 
 

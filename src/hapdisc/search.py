@@ -117,21 +117,16 @@ def _adjacent_parity(same_sign: bool):
     return scan
 
 
-def _gcd_span_signed(p):
-    # Weakly realizable iff every span passes, so the O(n^2) span scan runs
-    # only when the O(n) signing walk rejects the pattern.
-    if next(_signings(p), None) is not None:
-        return None
-    failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
-    return None if failure is None else (failure.i, failure.j)
-
-
-def _gcd_span_unsigned(p):
+def _gcd_span(p):
     # A weakly realizable signing passes divisibility on every span, so
-    # the exponential scan runs only when the O(n) signing walk finds none.
+    # the span scan (O(n^2) signed, exponential sign-free) runs only when
+    # the O(n) signing walk finds none.
     if next(_signings(p), None) is not None:
         return None
-    failure = _sign_free_divisibility_failure(p)
+    if isinstance(p, Pattern):
+        failure = _sign_free_divisibility_failure(p)
+    else:
+        failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
     return None if failure is None else (failure.i, failure.j)
 
 
@@ -157,8 +152,7 @@ _RULES = (
     ("ODD-BLOCKS", _ANY, _odd_blocks),
     ("PLUS-PLUS", SignedPattern, _adjacent_parity(same_sign=True)),
     ("CLASS-SIGN", SignedPattern, _adjacent_parity(same_sign=False)),
-    ("GCD-span", SignedPattern, _gcd_span_signed),
-    ("GCD-span", Pattern, _gcd_span_unsigned),
+    ("GCD-span", _ANY, _gcd_span),
 )
 
 

@@ -12,19 +12,19 @@ Two algorithms decide a block, and both leave each component's least
 vertex +1.  Below 2**16 vertices a BFS walks the block, computing
 adjacency on demand: a vertex v that is a multiple of s has exactly one
 s-neighbour, v + s when v % 2s is 0 and v - s when it is s, so degrees
-are at most |S|.  The BFS takes its roots, in ascending order, from a
-byte mask of the uncolored vertices that are a multiple of some skip, so
-it never visits an isolated vertex.  From 2**16 on a numpy union-find
-with parity decides the block; the BFS then runs only on an odd
-component, to build its cycle.  The cut is set by the benchmark, not by
-solve time (see ``_VECTOR_MIN_PERIOD``).  Unless 1 is a skip, the
-union-find runs on the vertices that are a multiple of some skip alone,
-numbered in ascending order.  That relabel is monotone, so the least
-label of a component is its least vertex and both algorithms still agree.
-The union-find reads every edge, made per skip in chunks, for two rounds
-only: an edge whose ends share a root shares it for good, so later rounds
-read just the few edges that still join two roots.  No graph is
-materialized either way.
+are at most |S|.  Its one byte per vertex ends as the int8 coloring and
+until then marks the uncolored multiples of a skip, from which it takes
+its roots in ascending order, so it never visits an isolated vertex.
+From 2**16 on a numpy union-find with parity decides the block; the BFS
+then runs only on an odd component, to build its cycle.  The cut is set
+by the benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).  Unless
+1 is a skip, the union-find runs on the vertices that are a multiple of
+some skip alone, numbered in ascending order.  That relabel is monotone,
+so the least label of a component is its least vertex and both algorithms
+still agree.  The union-find reads every edge, made per skip in chunks,
+for two rounds only: an edge whose ends share a root shares it for good,
+so later rounds read just the few edges that still join two roots.  No
+graph is materialized either way.
 
 numpy is imported only when a block is solved or a coloring is built, so
 the verbs that never build a block graph do not load it.
@@ -47,15 +47,13 @@ DEFAULT_PERIOD_CAP = 1 << 24
 # Blocks of at least this many vertices are decided by the parity
 # union-find, smaller ones by the BFS alone.  On the ``sweep`` workload's
 # blocks (2-core Xeon, Python 3.11.7) the two break even near 2**9
-# vertices, and the union-find is 1.5x faster at 2**10 and 4x at 2**14.
-# But perfbench keeps about 140 B of bookkeeping per completed op, so a
-# faster ``sweep`` (blocks of at most 2**16) raises its peak_rss_mb by op
-# count alone: this BFS already costs it about 6 % for 4x the ops.  Lower
+# vertices: with the cut at 2**16, 2**9 and 1, ``sweep`` ran 1137, 2730
+# and 2617 ops/s (medians of 3 runs).  But perfbench keeps about 140 B of
+# bookkeeping per completed op, so its peak_rss_mb rose with the op count
+# alone, 38.9 to 44.5 and 44.1, past the benchmark's 10 % bound.  Lower
 # the cut once the benchmark bounds that bookkeeping.
 _VECTOR_MIN_PERIOD = 1 << 16
 _CHUNK = 1 << 16  # edges, or vertices, per numpy batch
-# The BFS's color bytes 0 (isolated), 1 and 2 as int8 values +1, +1 and -1.
-_COLOR_TO_SIGN = bytes([1, 1, 0xFF]).ljust(256, b"\0")
 
 
 class PeriodCapExceeded(ValueError):
@@ -282,17 +280,16 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
         if not isinstance(decided, int):
             return Coloring(period, decided)
         first = decided
-    color = bytearray(period)  # 1/2 for the two classes, 0 means unvisited
-    # live[v] is 1 while v has an edge and is uncolored, so the roots are
-    # found by bytes.find; isolated vertices are never visited and read +1.
-    live = bytearray(period)
+    # One byte per vertex, the coloring as int8 at the end: 1 (+1) or 0xFF
+    # (-1) once colored, 3 while a vertex with an edge is not.  Roots are
+    # found by bytes.find; isolated vertices are never visited and stay 1.
+    color = bytearray(b"\x01") * period
     for s in skips:
-        live[::s] = b"\x01" * (period // s)
+        color[::s] = b"\x03" * (period // s)
     pairs = [(s, 2 * s) for s in skips]
-    root = live.find(1, first)
+    root = color.find(3, first)
     while root >= 0:
         color[root] = 1
-        live[root] = 0
         order = [root]  # the BFS queue, kept whole: it stands in for parents
         for v in order:
             cv = color[v]
@@ -305,16 +302,15 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
                 else:
                     continue
                 cu = color[u]
-                if cu == 0:
-                    color[u] = 3 - cv
-                    live[u] = 0
+                if cu == 3:
+                    color[u] = cv ^ 0xFE  # swaps 1 and 0xFF
                     order.append(u)
                 elif cu == cv:
                     return _odd_cycle(g, order, v, u)
-        root = live.find(1, root + 1)
+        root = color.find(3, root + 1)
     import numpy as np
 
-    return Coloring(period, np.frombuffer(color.translate(_COLOR_TO_SIGN), dtype=np.int8))
+    return Coloring(period, np.frombuffer(color, dtype=np.int8))
 
 
 def two_color(g: SkipGraph) -> Coloring | None:

@@ -346,7 +346,7 @@ def test_signed_rule_scan_matches_the_span_scan():
     for p in patterns:
         first = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
         failing += first is not None
-        assert search._gcd_span_signed(p) == (None if first is None else (first.i, first.j))
+        assert search._gcd_span(p) == (None if first is None else (first.i, first.j))
     assert failing == 1613
     lines = [repr(rule_scan(p)) for p in patterns]
     assert sum("GCD-span" in line for line in lines) == 24

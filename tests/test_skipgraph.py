@@ -269,35 +269,56 @@ def test_bfs_odd_cycle_in_a_later_component():
     assert cert.start == 40
 
 
+def _and_by_bfs(cases):
+    """Each case under the id pytest gives it alone, then again with
+    ``bfs`` set and "-bfs" appended: the cut then lies above the block, so
+    the BFS walks all of it."""
+    ids = ["-".join([f"skips{k}", *map(str, rest)]) for k, (_, *rest) in enumerate(cases)]
+    return [
+        pytest.param(*case, bfs, id=name + "-bfs" * bfs)
+        for bfs in (False, True)
+        for case, name in zip(cases, ids)
+    ]
+
+
 @pytest.mark.parametrize(
-    "skips, digest",
-    [
-        ((1, 5, 23, 43, 53), "294167fb12f6295d"),
-        ((7, 9, 11, 13, 16), "23ef11b87552efd7"),
-        ((17, 28, 29, 60), "25a82d6fa3ca6c0b"),  # 86 % of the block isolated
-    ],
+    "skips, digest, bfs",
+    _and_by_bfs(
+        [
+            ((1, 5, 23, 43, 53), "294167fb12f6295d"),
+            ((7, 9, 11, 13, 16), "23ef11b87552efd7"),
+            ((17, 28, 29, 60), "25a82d6fa3ca6c0b"),  # 86 % of the block isolated
+        ]
+    ),
 )
-def test_large_block_coloring_pinned(skips, digest):
+def test_large_block_coloring_pinned(skips, digest, bfs, monkeypatch):
     # recorded from the BFS over the whole block
-    coloring = solve_block(build_graph(skips))
+    g = build_graph(skips)
+    if bfs:
+        monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", g.period + 1)
+    coloring = solve_block(g)
     assert isinstance(coloring, Coloring)
     assert hashlib.sha256(coloring.line().encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(
-    "skips, first, pattern, start",
-    [
-        ((13, 24, 27, 51), 4080, "[+24 +27 -51]", 4080),
-        ((1, 5, 21, 34, 40, 54), 23760, "[+40 +34 +1 -21 -54]", 23760),
-        ((14, 18, 28, 33, 48, 57), 10584, "[+28 +14 +33 -57 -18]", 10584),
-    ],
+    "skips, first, pattern, start, bfs",
+    _and_by_bfs(
+        [
+            ((13, 24, 27, 51), 4080, "[+24 +27 -51]", 4080),
+            ((1, 5, 21, 34, 40, 54), 23760, "[+40 +34 +1 -21 -54]", 23760),
+            ((14, 18, 28, 33, 48, 57), 10584, "[+28 +14 +33 -57 -18]", 10584),
+        ]
+    ),
 )
-def test_large_block_certificate_pinned(skips, first, pattern, start):
+def test_large_block_certificate_pinned(skips, first, pattern, start, bfs, monkeypatch):
     # recorded from the BFS over the whole block; the union-find starts the
     # BFS at ``first``, the least vertex of the first odd component
     g = build_graph(skips)
     assert g.period >= skipgraph._VECTOR_MIN_PERIOD
     assert skipgraph._parity_union_find(g) == first
+    if bfs:
+        monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", g.period + 1)
     cert = solve_block(g)
     assert format_pattern(cert.signed_pattern) == pattern
     assert cert.start == start
