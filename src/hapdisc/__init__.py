@@ -1,7 +1,17 @@
 """Discrepancy-two certification for finite sets of homogeneous
 arithmetic progressions: pattern realizability, skip-graph coloring,
 closed-form classifiers for small sets, extremal search, and the
-equal-sum-subsets hardness transformation."""
+equal-sum-subsets hardness transformation.
+
+``classify``, ``numeric``, ``pattern`` and ``realizability`` load with the
+package.  ``skipgraph`` (the block solver), ``search`` and ``reduction``
+load on first use of one of their public names, so each CLI verb loads
+only what it runs: ``classify``, ``check`` and ``realize`` none of the
+three, ``color``, ``cycle`` and ``verify`` ``skipgraph``, ``longest``
+``search`` and ``reduce`` ``reduction``.
+"""
+
+import importlib
 
 from .classify import Classification, UnsupportedSizeError, classify
 from .numeric import crt_merge, two_adic_valuation
@@ -25,26 +35,45 @@ from .realizability import (
     valid_odd_cycle,
     weakly_realizable,
 )
-from .reduction import (
-    ESSInstance,
-    ESSWitness,
-    ReductionInstance,
-    build_d1_instance,
-    ess_solve,
-    witness_cycle,
-)
-from .search import RuleVerdict, SearchResult, longest_odd_cycle, longest_path, rule_scan
-from .skipgraph import (
-    Coloring,
-    OddCycleCertificate,
-    PeriodCapExceeded,
-    SkipGraph,
-    build_graph,
-    find_odd_cycle,
-    solve_block,
-    two_color,
-    verify_discrepancy,
-)
+
+# Each public name of a deferred module -> that module, imported on first access
+# (PEP 562).  ``classify`` must stay eager: importing the submodule
+# ``hapdisc.classify`` binds it as a package attribute, which would then
+# shadow the function of the same name.
+_LAZY = {
+    "ESSInstance": "reduction",
+    "ESSWitness": "reduction",
+    "ReductionInstance": "reduction",
+    "build_d1_instance": "reduction",
+    "ess_solve": "reduction",
+    "witness_cycle": "reduction",
+    "RuleVerdict": "search",
+    "SearchResult": "search",
+    "longest_odd_cycle": "search",
+    "longest_path": "search",
+    "rule_scan": "search",
+    "Coloring": "skipgraph",
+    "OddCycleCertificate": "skipgraph",
+    "PeriodCapExceeded": "skipgraph",
+    "SkipGraph": "skipgraph",
+    "build_graph": "skipgraph",
+    "find_odd_cycle": "skipgraph",
+    "solve_block": "skipgraph",
+    "two_color": "skipgraph",
+    "verify_discrepancy": "skipgraph",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -10,19 +10,29 @@ by default or the payload as JSON with --json, and turns a ValueError
 into ``error: ...`` on stderr.  Exit codes: 0 success, 1 when
 classify/color establish that the set forces discrepancy two (so shell
 scripts can branch on it), 2 for usage or input errors.
+
+A verb imports the library modules it runs when it runs.  classify,
+check and realize use only the four modules the package loads eagerly
+(classify, numeric, pattern, realizability); color, cycle and verify
+load ``skipgraph``, and with it numpy once a block is solved or a
+coloring built; longest loads ``search`` and reduce ``reduction``.
+Functions of those three are looked up on their module at call time, so
+a patch of, say, ``hapdisc.skipgraph.solve_block`` reaches the verb.
+``json`` is imported only under --json.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .classify import classify
 from .pattern import (
+    DEFAULT_PERIOD_CAP,
     Pattern,
     SignedPattern,
     format_pattern,
@@ -31,16 +41,9 @@ from .pattern import (
     realize,
 )
 from .realizability import strict_realizability, weakly_realizable
-from .reduction import ESSInstance, build_d1_instance, ess_solve, witness_cycle
-from .search import longest_odd_cycle, longest_path
-from .skipgraph import (
-    DEFAULT_PERIOD_CAP,
-    Coloring,
-    OddCycleCertificate,
-    build_graph,
-    solve_block,
-    verify_discrepancy,
-)
+
+if TYPE_CHECKING:
+    from .skipgraph import Coloring, OddCycleCertificate
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -62,6 +65,8 @@ def _mirrored(args, period: int, found):
     """
     if not args.erdos_indexing:
         return found
+    from .skipgraph import Coloring, OddCycleCertificate
+
     if isinstance(found, Coloring):
         return Coloring.from_values(found.values[::-1])
     sp = SignedPattern(tuple((-s, a) for s, a in found.signed_pattern.steps))
@@ -86,11 +91,15 @@ def _cmd_classify(args) -> tuple[dict, str, int]:
 
 
 def _block(args) -> tuple[int, Coloring | OddCycleCertificate]:
-    g = build_graph(_parse_int_list(args.skips, "skip set"), args.max_period)
-    return g.period, _mirrored(args, g.period, solve_block(g))
+    from . import skipgraph
+
+    g = skipgraph.build_graph(_parse_int_list(args.skips, "skip set"), args.max_period)
+    return g.period, _mirrored(args, g.period, skipgraph.solve_block(g))
 
 
 def _cmd_color(args) -> tuple[dict, str, int]:
+    from .skipgraph import Coloring
+
     period, found = _block(args)
     if isinstance(found, Coloring):
         line = found.line()
@@ -99,6 +108,8 @@ def _cmd_color(args) -> tuple[dict, str, int]:
 
 
 def _cmd_cycle(args) -> tuple[dict, str, int]:
+    from .skipgraph import Coloring
+
     _, found = _block(args)
     if isinstance(found, Coloring):
         return {"certificate": None}, "none", 0
@@ -133,20 +144,24 @@ def _cmd_realize(args) -> tuple[dict, str, int]:
 
 
 def _cmd_longest(args) -> tuple[dict, str, int]:
+    from . import search
+
     skips = _parse_int_list(args.skips, "skip set")
     if args.kind == "path":
-        result = longest_path(skips, args.max_len)
+        result = search.longest_path(skips, args.max_len)
     else:
-        result = longest_odd_cycle(skips, args.max_len)
+        result = search.longest_odd_cycle(skips, args.max_len)
     if result is None:
         return {"result": None}, "none", 0
     return result.to_json_dict(), result.table_row(len(set(skips))), 0
 
 
 def _cmd_reduce(args) -> tuple[dict, str, int]:
-    inst = ESSInstance.of(_parse_int_list(args.elements, "instance"))
-    ri = build_d1_instance(inst)
-    witness = ess_solve(inst)
+    from . import reduction
+
+    inst = reduction.ESSInstance.of(_parse_int_list(args.elements, "instance"))
+    ri = reduction.build_d1_instance(inst)
+    witness = reduction.ess_solve(inst)
     payload: dict = {
         "M": ri.M,
         "r": ri.r,
@@ -159,7 +174,7 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
         xv, yv = witness.values(inst)
         payload["ess"]["X"] = list(xv)
         payload["ess"]["Y"] = list(yv)
-        cycle = witness_cycle(ri, witness)
+        cycle = reduction.witness_cycle(ri, witness)
         payload["cycle"] = format_pattern(cycle)
         human += f" ess: positive X={list(xv)} Y={list(yv)} cycle={format_pattern(cycle)}"
     else:
@@ -167,7 +182,7 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
     return payload, human, 0
 
 
-def _read_coloring(path: str) -> Coloring:
+def _read_coloring(path: str) -> list[int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
@@ -183,13 +198,15 @@ def _read_coloring(path: str) -> Coloring:
             raise ValueError(f"bad coloring token {tok!r}; expected +1 or -1")
     if not values:
         raise ValueError(f"coloring file {path} is empty")
-    return Coloring.from_values(values)
+    return values
 
 
 def _cmd_verify(args) -> tuple[dict, str, int]:
-    coloring = _read_coloring(args.coloring)
+    from . import skipgraph
+
+    coloring = skipgraph.Coloring.from_values(_read_coloring(args.coloring))
     coloring = _mirrored(args, coloring.period, coloring)
-    worst = verify_discrepancy(coloring, _parse_int_list(args.skips, "skip set"), args.horizon)
+    worst = skipgraph.verify_discrepancy(coloring, _parse_int_list(args.skips, "skip set"), args.horizon)
     human = f"max |d(s,k)| = {worst} up to horizon {args.horizon}"
     return {"max_discrepancy": worst, "horizon": args.horizon}, human, 0
 
@@ -278,8 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     # int<->str digit limit is lifted for this run and the caller's value
     # restored after it: tests and benchmarks call main in-process.  The
     # parser is built once per process; each parse_args returns a fresh
-    # Namespace, and the verbs look up the library functions they call at
-    # call time.
+    # Namespace.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -289,8 +305,13 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        line = human
+        if args.json:
+            import json
+
+            line = json.dumps(payload)
         try:
-            print(json.dumps(payload) if args.json else human, flush=True)
+            print(line, flush=True)
         except BrokenPipeError:
             # The reader closed early (``| head``): stdout goes to devnull so
             # the flush at exit cannot fail again, and the verb keeps its code.

@@ -30,6 +30,11 @@ class SignInferenceError(ValueError):
         self.index = index
 
 
+# The largest period 2*lcm(S) whose block ``skipgraph.build_graph`` builds
+# unless the caller raises it; the CLI's --max-period defaults to it.
+DEFAULT_PERIOD_CAP = 1 << 24
+
+
 def sorted_skips(values: Iterable[int]) -> tuple[int, ...]:
     """A skip set as sorted distinct values; it must be nonempty and
     every skip at least 1."""

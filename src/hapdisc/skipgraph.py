@@ -36,13 +36,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .pattern import SignedPattern, realize, sorted_skips
+from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, realize, sorted_skips
 from .realizability import valid_odd_cycle
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_PERIOD_CAP = 1 << 24
 
 # Blocks of at least this many vertices are decided by the parity
 # union-find, smaller ones by the BFS alone.  On the ``sweep`` workload's
@@ -104,8 +102,7 @@ class Coloring:
         import numpy as np
 
         text = np.empty((self.values.size, 3), dtype=np.uint8)
-        text[:, 0] = ord("-")
-        text[self.values > 0, 0] = ord("+")
+        text[:, 0] = 44 - self.values  # ord("+") is 43, ord("-") 45
         text[:, 1] = ord("1")
         text[:, 2] = ord(" ")
         return text.tobytes()[:-1].decode("ascii")
@@ -175,7 +172,7 @@ def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
         mask = np.zeros(period, dtype=bool)
         for s in g.skips:
             mask[::s] = True
-        live = np.flatnonzero(mask)  # the vertices with an edge, ascending
+        live = np.flatnonzero(mask).astype(dtype)  # the vertices with an edge, ascending
         label = np.empty(period, dtype=dtype)  # read at live vertices only
         n = live.size
         label[live] = np.arange(n, dtype=dtype)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hapdisc.cli
+import hapdisc.skipgraph
 from hapdisc.cli import main
 from hapdisc.pattern import Pattern, parse_pattern
 from hapdisc.realizability import SubpathReport, strict_realizability
@@ -168,13 +169,13 @@ def test_color_forcing_prints_certificate(capsys):
 )
 def test_one_block_pass_per_verb(capsys, monkeypatch, verb, skips, exit_code):
     calls = []
-    solve = hapdisc.cli.solve_block
+    solve = hapdisc.skipgraph.solve_block
 
     def counted(g):
         calls.append(g.period)
         return solve(g)
 
-    monkeypatch.setattr(hapdisc.cli, "solve_block", counted)
+    monkeypatch.setattr(hapdisc.skipgraph, "solve_block", counted)
     code, _, _ = run(capsys, verb, "-s", skips)
     assert code == exit_code
     assert len(calls) == 1
@@ -207,7 +208,7 @@ def test_max_period_default_is_the_only_cap(capsys, monkeypatch, verb):
     code, _, _ = run(capsys, verb, "-s", "2,3,4")
     assert code == 0
     # period 2**25 is refused before a block is built
-    monkeypatch.setattr(hapdisc.cli, "solve_block", lambda g: pytest.fail("block built"))
+    monkeypatch.setattr(hapdisc.skipgraph, "solve_block", lambda g: pytest.fail("block built"))
     code, out, err = run(capsys, verb, "-s", str(2**24))
     assert (code, out) == (2, "")
     assert "exceeds the cap 16777216" in err

@@ -328,8 +328,13 @@ def test_union_find_memory_stays_flat():
     # a dense 524170-vertex block, whose edges are made per chunk each
     # round, and a sparse 414120-vertex one, relabelled to its live
     # vertices: no materialized graph or double cover, and no int64 edge
-    # arrays
-    for skips in ((1, 5, 23, 43, 53), (17, 28, 29, 60)):
+    # arrays.  The odd sparse 421344-vertex block peaked at 3.52 MB with
+    # numpy 2.4 (3.80 MB while its live vertices were kept as int64).
+    for skips, bound in (
+        ((1, 5, 23, 43, 53), 8_000_000),
+        ((17, 28, 29, 60), 8_000_000),
+        ((14, 18, 28, 33, 48, 57), 3_700_000),
+    ):
         g = build_graph(skips)
         tracemalloc.start()
         try:
@@ -337,4 +342,4 @@ def test_union_find_memory_stays_flat():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000, (skips, peak)
+        assert peak < bound, (skips, peak)
