@@ -14,7 +14,7 @@ three, ``color``, ``cycle`` and ``verify`` ``skipgraph``, ``longest``
 import importlib
 
 from .classify import Classification, UnsupportedSizeError, classify
-from .numeric import crt_merge, two_adic_valuation
+from .numeric import two_adic_valuation
 from .pattern import (
     Pattern,
     PatternSyntaxError,
@@ -101,7 +101,6 @@ __all__ = [
     "build_graph",
     "check_subpath",
     "classify",
-    "crt_merge",
     "ess_solve",
     "find_odd_cycle",
     "format_pattern",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -299,6 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        # argparse reads "-1,2" as an option, so a list option's value of that
+        # form is joined to it ("-s=-1,2") and reaches the library's check.
+        argv = sys.argv[1:] if argv is None else list(argv)
+        for k in range(len(argv) - 2, -1, -1):
+            if argv[k] in ("-s", "--skips", "-a", "--elements") and re.match(r"-\d", argv[k + 1]):
+                argv[k : k + 2] = [f"{argv[k]}={argv[k + 1]}"]
         args = _build_parser().parse_args(argv)
         try:
             payload, human, code = args.func(args)

@@ -122,16 +122,6 @@ def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:
     return _span(i, j, steps[i], inner, steps[j])
 
 
-def step_congruence(sign: int, skip: int, offset: int) -> tuple[int, int]:
-    """Constraint ``(residue, modulus)`` on the start term T for one step.
-
-    ``offset`` is the signed sum of the earlier steps, so T + offset is the
-    term the step leaves from; it must be an even multiple of the skip for
-    an up step and an odd multiple for a down step.
-    """
-    return ((1 - sign) // 2) * skip - offset, 2 * skip
-
-
 def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
     """``check_subpath(sp, i, j)`` for every i < j, ordered by i and then
     j; a running intermediate sum keeps the whole scan O(n^2)."""
@@ -178,10 +168,10 @@ def _step_row(modulus: int, a: int) -> tuple[int, bool, int, int]:
     g divides a, step = 2a / g and inv = (modulus / g)^-1 mod step.  The
     step congruence (c, 2a) merges into (residue, modulus) iff g divides
     c - residue; the signs' c differ by a, which is 0 or g/2 mod g, so
-    both pass only when g divides a.  For 0 <= residue < modulus the merge
-    is crt_merge's, residue + modulus * ((c - residue) / g * inv mod step)
-    mod modulus * step: the identity when step == 1, i.e. when 2a divides
-    the modulus."""
+    both pass only when g divides a.  For 0 <= residue < modulus the least
+    common solution is residue + modulus * ((c - residue) / g * inv mod
+    step), modulo modulus * step: the identity when step == 1, i.e. when
+    2a divides the modulus."""
     g = math.gcd(modulus, 2 * a)
     step = 2 * a // g
     return g, a % g == 0, step, pow(modulus // g, -1, step)
@@ -190,11 +180,11 @@ def _step_row(modulus: int, a: int) -> tuple[int, bool, int, int]:
 def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     """Weakly realizable signings of ``p`` in lexicographic order (+ before
     -), each with its least witness start.  A signed pattern offers its own
-    sign at each step, an unsigned one + then -; the step row's residue
-    gate admits a sign before any merge, so a failing prefix is pruned
-    with its subtree and every merge runs on a sign that passed.  A stack
-    frame is (sign that reached it, untried signs, step offset, merged
-    congruence as residue and modulus, step row of its skip).
+    sign at each step, an unsigned one + then -.  The walk goes level by
+    level over live prefixes (signs, step offset, least start).  After k
+    steps every one has modulus lcm(2a_0 .. 2a_{k-1}), whatever its signs,
+    so one step row per depth gates and merges them all; the walk stops
+    as soon as no prefix is live.
 
     At most two signings are yielded (proved).  A start fixes its walk,
     since a step leaves up from an even multiple of its skip and down from
@@ -209,26 +199,23 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     v2(a_k'), a contradiction.  Every prefix is a pattern too, so at most
     two prefixes per depth stay live and the walk makes O(n) merges."""
     skips = p.skips
-    n = len(skips)
-    offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * n
-    stack = [(0, iter(offers[0]), 0, 0, 1, _step_row(1, skips[0]))]
-    while stack:
-        _, untried, offset, residue, modulus, (g, _, step, inv) = stack[-1]
-        k = len(stack) - 1
-        for sign in untried:
-            diff = step_congruence(sign, skips[k], offset)[0] - residue
-            if diff % g:
-                continue
-            merged = residue + modulus * (diff // g * inv % step)
-            if k + 1 < n:
-                child = modulus * step
-                row = _step_row(child, skips[k + 1])
-                stack.append((sign, iter(offers[k + 1]), offset + sign * skips[k], merged, child, row))
-                break
-            signs = [frame[0] for frame in stack[1:]] + [sign]
-            yield SignedPattern(tuple(zip(signs, skips))), merged
-        else:
-            stack.pop()
+    offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * len(skips)
+    live: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    modulus = 1
+    for a, offer in zip(skips, offers):
+        g, _, step, inv = _step_row(modulus, a)
+        advanced = []
+        for signs, offset, residue in live:
+            for sign in offer:
+                diff = (a if sign < 0 else 0) - offset - residue
+                if diff % g == 0:
+                    merged = residue + modulus * (diff // g * inv % step)
+                    advanced.append((signs + (sign,), offset + sign * a, merged))
+        if not advanced:
+            return
+        live, modulus = advanced, modulus * step
+    for signs, _, start in live:
+        yield SignedPattern(tuple(zip(signs, skips))), start
 
 
 def _forbidden(p: AnyPattern) -> RealizabilityVerdict:
@@ -290,11 +277,10 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
         return CycleVerdict(False, total, reason="even-length")
     if total != 0:
         return CycleVerdict(False, total, reason="nonzero-sum")
-    weak = weakly_realizable(sp)
-    if weak.status == FORBIDDEN:
+    found = next(_signings(sp), None)
+    if found is None:
         return CycleVerdict(False, total, reason="not-weakly-realizable")
-    start = weak.witness_start
-    assert start is not None
+    start = found[1]
     walk = realize(sp, start)
     if walk.repeated_terms(as_cycle=True):
         return CycleVerdict(False, total, witness_start=start, reason="repeated-term")

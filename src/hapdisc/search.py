@@ -19,7 +19,7 @@ skip a has one cached step row per modulus (``_step_row``): g =
 gcd(modulus, 2a), whether g divides a, and the step and inverse of the
 merge.  One exact residue test modulo g gates both signs (both can pass
 only when g divides a), and a sign that passes merges by plain integer
-arithmetic, no ``crt_merge``.  Once 2a divides the modulus, as it does
+arithmetic, as in ``realizability._signings``.  Once 2a divides the modulus, as it does
 for every skip once the modulus reaches the period 2 * lcm(skips), the
 merge is the identity.  It runs none of the window rules, which can only
 cut what these checks cut already (see ``_search``).  Every surviving node is therefore a

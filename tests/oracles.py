@@ -3,7 +3,10 @@
 These deliberately avoid the library's congruence machinery: walks are
 verified by literally stepping through one period of the block graph,
 and congruence systems by scanning residues.  They stay slow and dumb on
-purpose so the fast paths have something honest to disagree with.
+purpose so the fast paths have something honest to disagree with.  The
+general pairwise merge ``crt_merge`` and ``step_congruence`` are the
+reference that the library's step row (``realizability._step_row``) is
+checked against; they are themselves checked against the residue scan.
 """
 
 from __future__ import annotations
@@ -103,6 +106,38 @@ def brute_congruence_solution(pairs: list[tuple[int, int]]) -> int | None:
 
 def two_adic_valuation(n: int) -> int:
     return (n & -n).bit_length() - 1
+
+
+def crt_merge(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
+    """Intersect two congruences ``(residue, modulus)``, or None when they
+    are incompatible: the general pairwise merge that the library's step
+    row specializes.
+
+    Compatibility requires gcd(m_a, m_b) to divide the residue difference;
+    the merged congruence lives modulo lcm(m_a, m_b), with its residue the
+    least nonnegative solution whatever integer residues come in.  A
+    modulus below 1 raises ValueError.
+    """
+    (ra, ma), (rb, mb) = a, b
+    if ma < 1 or mb < 1:
+        raise ValueError(f"modulus must be positive, got {ma} and {mb}")
+    g = math.gcd(ma, mb)
+    if (rb - ra) % g:
+        return None
+    lcm = ma // g * mb
+    step = mb // g
+    k = (rb - ra) // g * pow(ma // g, -1, step) % step
+    return (ra + ma * k) % lcm, lcm
+
+
+def step_congruence(sign: int, skip: int, offset: int) -> tuple[int, int]:
+    """Constraint ``(residue, modulus)`` on the start term T for one step.
+
+    ``offset`` is the signed sum of the earlier steps, so T + offset is the
+    term the step leaves from; it must be an even multiple of the skip for
+    an up step and an odd multiple for a down step.
+    """
+    return ((1 - sign) // 2) * skip - offset, 2 * skip
 
 
 # The paper's conditions for 3- and 4-sets, written out literally on a

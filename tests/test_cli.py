@@ -336,6 +336,23 @@ def test_usage_error_on_bad_skips(capsys):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["classify", "-s", "-1,2"], "error: skips must be positive, got (-1, 2)"),
+        (["classify", "--skips", "-1,2"], "error: skips must be positive, got (-1, 2)"),
+        (["reduce", "-a", "-1,1"], "error: elements must be positive, got (-1, 1)"),
+        (["reduce", "--elements", "-1,1"], "error: elements must be positive, got (-1, 1)"),
+    ],
+    ids=["-s", "--skips", "-a", "--elements"],
+)
+def test_negative_list_reaches_the_library_check(capsys, argv, err):
+    # argparse alone would take "-1,2" for an option and print its usage
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err + "\n")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -435,6 +452,8 @@ def test_main_exit_codes_on_any_small_argv(coloring_files):
     @example(["verify", "--coloring", coloring_files[0], "-s", "1", "--horizon", "8"])
     @example(["longest", "--max-len", "5", "-s", "1,5,7", "--max-len", "0"])
     @example([])
+    @example(["classify", "-s", "-1,2"])
+    @example(["reduce", "-a", "-1,1"])
     def check(argv):
         assert len(argv) <= 40
         assert _run_in_process(argv) == _run_in_process(argv), argv

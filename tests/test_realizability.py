@@ -146,6 +146,13 @@ def test_zero_sum_with_repeated_term_is_invalid():
     assert verdict.reason == "repeated-term"
 
 
+def test_zero_sum_cycle_that_walks_nowhere():
+    # +1 leaves an even term and lands on an odd one, where +1 cannot leave
+    verdict = valid_odd_cycle(sp("[+1 +1 -2]"))
+    assert (verdict.valid, verdict.signed_sum, verdict.witness_start) == (False, 0, None)
+    assert verdict.reason == "not-weakly-realizable"
+
+
 def test_even_length_rejected():
     assert valid_odd_cycle(sp("[+1 -1]")).reason == "even-length"
     assert valid_odd_cycle(sp("[+1 -1 +1]")).reason == "nonzero-sum"

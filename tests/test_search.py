@@ -7,15 +7,14 @@ from itertools import combinations, product
 import pytest
 
 from hapdisc import realizability, search
-from hapdisc.numeric import crt_merge
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
 from hapdisc.realizability import (
     _subpath_reports,
-    step_congruence,
     strict_realizability,
     valid_odd_cycle,
 )
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
+from oracles import crt_merge, step_congruence
 
 
 FIRES = [
@@ -281,8 +280,8 @@ def test_search_results_pass_rule_scan():
 
 def test_search_merges_only_surviving_steps(monkeypatch):
     # the DFS builds each step row once per modulus, and on every row it
-    # builds the residue gate admits exactly the steps crt_merge merges,
-    # with crt_merge's congruence
+    # builds the residue gate admits exactly the steps that the reference
+    # merge (oracles.crt_merge) merges, with that merge's congruence
     rows = []
 
     def recording_row(modulus, a):
