@@ -3,44 +3,39 @@ arithmetic progressions: pattern realizability, skip-graph coloring,
 closed-form classifiers for small sets, extremal search, and the
 equal-sum-subsets hardness transformation.
 
-``classify``, ``numeric``, ``pattern`` and ``realizability`` load with the
-package.  ``skipgraph`` (the block solver), ``search`` and ``reduction``
-load on first use of one of their public names, so each CLI verb loads
-only what it runs: ``classify``, ``check`` and ``realize`` none of the
-three, ``color``, ``cycle`` and ``verify`` ``skipgraph``, ``longest``
-``search`` and ``reduce`` ``reduction``.
+``_LAZY`` below is the package's surface: every public name but
+``classify``, with the module that defines it, imported on first access
+(PEP 562).  So a module that no eager import pulls in loads only when
+one of its names is used.
 """
 
 import importlib
 
-from .classify import Classification, UnsupportedSizeError, classify
-from .numeric import two_adic_valuation
-from .pattern import (
-    Pattern,
-    PatternSyntaxError,
-    Realization,
-    SignedPattern,
-    SignInferenceError,
-    format_pattern,
-    infer_signs,
-    parse_pattern,
-    realize,
-)
-from .realizability import (
-    CycleVerdict,
-    RealizabilityVerdict,
-    SubpathReport,
-    check_subpath,
-    strict_realizability,
-    valid_odd_cycle,
-    weakly_realizable,
-)
+# ``classify`` must stay eager: importing the submodule ``hapdisc.classify``
+# binds it as a package attribute, which would then shadow the function of
+# the same name.
+from .classify import classify
 
-# Each public name of a deferred module -> that module, imported on first access
-# (PEP 562).  ``classify`` must stay eager: importing the submodule
-# ``hapdisc.classify`` binds it as a package attribute, which would then
-# shadow the function of the same name.
 _LAZY = {
+    "Classification": "classify",
+    "UnsupportedSizeError": "classify",
+    "two_adic_valuation": "numeric",
+    "Pattern": "pattern",
+    "PatternSyntaxError": "pattern",
+    "Realization": "pattern",
+    "SignInferenceError": "pattern",
+    "SignedPattern": "pattern",
+    "format_pattern": "pattern",
+    "infer_signs": "pattern",
+    "parse_pattern": "pattern",
+    "realize": "pattern",
+    "CycleVerdict": "realizability",
+    "RealizabilityVerdict": "realizability",
+    "SubpathReport": "realizability",
+    "check_subpath": "realizability",
+    "strict_realizability": "realizability",
+    "valid_odd_cycle": "realizability",
+    "weakly_realizable": "realizability",
     "ESSInstance": "reduction",
     "ESSWitness": "reduction",
     "ReductionInstance": "reduction",
@@ -77,45 +72,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "Coloring",
-    "CycleVerdict",
-    "ESSInstance",
-    "ESSWitness",
-    "OddCycleCertificate",
-    "Pattern",
-    "PatternSyntaxError",
-    "PeriodCapExceeded",
-    "Realization",
-    "RealizabilityVerdict",
-    "ReductionInstance",
-    "RuleVerdict",
-    "SearchResult",
-    "SignInferenceError",
-    "SignedPattern",
-    "SkipGraph",
-    "SubpathReport",
-    "UnsupportedSizeError",
-    "build_d1_instance",
-    "build_graph",
-    "check_subpath",
-    "classify",
-    "ess_solve",
-    "find_odd_cycle",
-    "format_pattern",
-    "infer_signs",
-    "longest_odd_cycle",
-    "longest_path",
-    "parse_pattern",
-    "realize",
-    "rule_scan",
-    "solve_block",
-    "strict_realizability",
-    "two_adic_valuation",
-    "two_color",
-    "valid_odd_cycle",
-    "verify_discrepancy",
-    "weakly_realizable",
-    "witness_cycle",
-]
+__all__ = sorted(["classify", *_LAZY])

@@ -7,18 +7,14 @@ reduce (equal-sum-subsets transformation) and verify (discrepancy of a
 stored coloring).  Each verb returns (payload, human line, exit code)
 and prints nothing; ``main`` writes the one stdout line, the human line
 by default or the payload as JSON with --json, and turns a ValueError
-into ``error: ...`` on stderr.  Exit codes: 0 success, 1 when
-classify/color establish that the set forces discrepancy two (so shell
-scripts can branch on it), 2 for usage or input errors.
+into ``error: ...`` and a MemoryError into ``error: out of memory...``
+on stderr.  Exit codes: 0 success, 1 when classify/color establish that
+the set forces discrepancy two (so shell scripts can branch on it), 2
+for usage or input errors and for a block too large to allocate.
 
-A verb imports the library modules it runs when it runs.  classify,
-check and realize use only the four modules the package loads eagerly
-(classify, numeric, pattern, realizability); color, cycle and verify
-load ``skipgraph``, and with it numpy once a block is solved or a
-coloring built; longest loads ``search`` and reduce ``reduction``.
-Functions of those three are looked up on their module at call time, so
-a patch of, say, ``hapdisc.skipgraph.solve_block`` reaches the verb.
-``json`` is imported only under --json.
+Functions of ``skipgraph``, ``search`` and ``reduction`` are looked up on
+their module at call time, so a patch of, say,
+``hapdisc.skipgraph.solve_block`` reaches the verb.
 """
 
 from __future__ import annotations
@@ -311,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
             payload, human, code = args.func(args)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:  # a block too large to allocate is not a verdict
+            print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
             return 2
         line = human
         if args.json:

@@ -162,9 +162,11 @@ def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
     odd cycle and is noted as it is seen; ``first`` is the least final root
     among the noted edges.
     """
+    period = g.period
+    if 2 * period >= 1 << 63:  # keys would overflow int64 before anything is allocated
+        raise MemoryError(f"a block of {period} vertices cannot be allocated")
     import numpy as np
 
-    period = g.period
     dtype = np.int32 if 2 * period < 1 << 31 else np.int64
     live = label = None
     n = period

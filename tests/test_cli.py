@@ -214,6 +214,30 @@ def test_max_period_default_is_the_only_cap(capsys, monkeypatch, verb):
     assert "exceeds the cap 16777216" in err
 
 
+@pytest.mark.parametrize("verb", ["color", "cycle"])
+def test_block_past_int64_keys_is_refused_unallocated(capsys, verb):
+    # period 2**63: the union-find's keys 2*v would overflow int64, so the
+    # block is refused before anything is allocated, and exit 1 keeps
+    # meaning that the set forces discrepancy two
+    code, out, err = run(capsys, verb, "-s", f"1,{2**62}", "--max-period", str(10**20))
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: a block of 9223372036854775808 vertices cannot be allocated"
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [("8.00 TiB", "error: out of memory: 8.00 TiB"), ("", "error: out of memory")],
+    ids=["message", "empty"],
+)
+def test_out_of_memory_exits_two(capsys, monkeypatch, message, line):
+    def solve_block(g):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(hapdisc.skipgraph, "solve_block", solve_block)
+    for verb in ("color", "cycle"):
+        assert run(capsys, verb, "-s", "2,3,4") == (2, "", line)
+
+
 def test_reduce_json_schema(capsys):
     code, data = run_json(capsys, "reduce", "-a", "1,2")
     assert code == 0
@@ -454,6 +478,7 @@ def test_main_exit_codes_on_any_small_argv(coloring_files):
     @example([])
     @example(["classify", "-s", "-1,2"])
     @example(["reduce", "-a", "-1,1"])
+    @example(["color", "-s", f"1,{2**62}", "--max-period", str(10**20)])
     def check(argv):
         assert len(argv) <= 40
         assert _run_in_process(argv) == _run_in_process(argv), argv

@@ -135,9 +135,12 @@ def test_only_block_verbs_import_numpy():
         ["realize", "-p", "[2 1 3]", "--start", "0"],
         ["longest", "-s", "1,5,7"],
         ["reduce", "-a", "1,2,3"],
+        # blocks below the union-find's cut that close an odd cycle build no coloring
+        ["cycle", "-s", "1,3,5,8"],
+        ["color", "-s", "1,2,3"],
         ["color", "-s", "2,3,4"],
     )
-    assert [code for code, _, _ in runs] == [0, 1, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in runs] == [0, 1, 0, 0, 0, 0, 0, 1, 0]
     assert runs[4][1] == "3 path 7 11 [1 5 1 7 1 5 1]\n"
     assert not any(state["numpy"] for _, _, state in runs[:-1])
     code, line, state = runs[-1]

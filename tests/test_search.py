@@ -237,6 +237,16 @@ def test_lower_bound_flag():
     assert not full.lower_bound
 
 
+@pytest.mark.xfail(strict=True, reason="cycle distance prune never sets truncated (ROADMAP item 3)")
+def test_cycle_cap_below_a_longer_cycle_flags_lower_bound():
+    # cap 31 returns an 11-cycle, yet cap 41 finds a 41-cycle: the cap hid
+    # a longer result, so the row must read as a lower bound
+    longer = longest_odd_cycle((1, 3, 4, 6, 13, 121), 41)
+    assert longer.length == 41
+    capped = longest_odd_cycle((1, 3, 4, 6, 13, 121), 31)
+    assert capped.lower_bound
+
+
 def _four_set_sample():
     rng = random.Random(3)
     sets = [s for s in combinations(range(1, 13), 4) if math.gcd(*s) == 1]
