@@ -65,7 +65,7 @@ def _mirrored(args, period: int, found):
     from .skipgraph import Coloring, OddCycleCertificate
 
     if isinstance(found, Coloring):
-        return Coloring.from_values(found.values[::-1])
+        return Coloring(found.signs[::-1])
     sp = SignedPattern(tuple((-s, a) for s, a in found.signed_pattern.steps))
     return OddCycleCertificate(sp, period - found.start)
 
@@ -180,22 +180,19 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
 
 
 def _read_coloring(path: str) -> list[int]:
+    signs = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
-        raise ValueError(f"cannot read coloring file {path}: {exc.strerror}")
-    values = []
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ValueError(f"cannot read coloring file {path}: {reason}")
     for tok in tokens:
-        if tok in ("+1", "1", "+"):
-            values.append(1)
-        elif tok in ("-1", "-"):
-            values.append(-1)
-        else:
+        if tok not in signs:
             raise ValueError(f"bad coloring token {tok!r}; expected +1 or -1")
-    if not values:
+    if not tokens:
         raise ValueError(f"coloring file {path} is empty")
-    return values
+    return [signs[tok] for tok in tokens]
 
 
 def _cmd_verify(args) -> tuple[dict, str, int]:

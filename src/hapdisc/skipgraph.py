@@ -12,9 +12,9 @@ Two algorithms decide a block, and both leave each component's least
 vertex +1.  Below 2**16 vertices a BFS walks the block, computing
 adjacency on demand: a vertex v that is a multiple of s has exactly one
 s-neighbour, v + s when v % 2s is 0 and v - s when it is s, so degrees
-are at most |S|.  Its one byte per vertex ends as the int8 coloring and
-until then marks the uncolored multiples of a skip, from which it takes
-its roots in ascending order, so it never visits an isolated vertex.
+are at most |S|.  Its one byte per vertex ends as the coloring and until
+then marks the uncolored multiples of a skip, from which it takes its
+roots in ascending order, so it never visits an isolated vertex.
 From 2**16 on a numpy union-find with parity decides the block; the BFS
 then runs only on an odd component, to build its cycle.  The cut is set
 by the benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).  Unless
@@ -24,10 +24,10 @@ so the least label of a component is its least vertex and both algorithms
 still agree.  The union-find reads every edge, made per skip in chunks,
 for two rounds only: an edge whose ends share a root shares it for good,
 so later rounds read just the few edges that still join two roots.  No
-graph is materialized either way.
-
-numpy is imported only when a block is solved or a coloring is built, so
-the verbs that never build a block graph do not load it.
+graph is materialized either way, and either way a ``Coloring`` holds the
+BFS's sign bytes.  Only the union-find, ``verify_discrepancy`` and
+``Coloring.values`` import numpy, so the cut also decides whether
+``color`` and ``cycle`` load it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ if TYPE_CHECKING:
 # vertices: with the cut at 2**16, 2**9 and 1, ``sweep`` ran 1137, 2730
 # and 2617 ops/s (medians of 3 runs).  But perfbench keeps about 140 B of
 # bookkeeping per completed op, so its peak_rss_mb rose with the op count
-# alone, 38.9 to 44.5 and 44.1, past the benchmark's 10 % bound.  Lower
-# the cut once the benchmark bounds that bookkeeping.
+# alone, 38.9 to 44.5 and 44.1, past the benchmark's 10 % bound.  Lower the cut
+# once it bounds that; below the cut ``color`` and ``cycle`` load no numpy.
 _VECTOR_MIN_PERIOD = 1 << 16
 _CHUNK = 1 << 16  # edges, or vertices, per numpy batch
 
@@ -90,31 +90,37 @@ def build_graph(skips: Iterable[int], cap: int = DEFAULT_PERIOD_CAP) -> SkipGrap
 
 @dataclass
 class Coloring:
-    """A +1/-1 assignment on one period block, extended periodically."""
+    """Signs of one period block, extended periodically: 0x01 for +1, 0xFF for -1."""
 
-    period: int
-    values: np.ndarray  # int8, entries +1 or -1
+    signs: bytearray
 
-    def __getitem__(self, v: int) -> int:
-        return int(self.values[v % self.period])
+    @property
+    def period(self) -> int:
+        return len(self.signs)
 
-    def line(self) -> str:
+    @property
+    def values(self) -> np.ndarray:
         import numpy as np
 
-        text = np.empty((self.values.size, 3), dtype=np.uint8)
-        text[:, 0] = 44 - self.values  # ord("+") is 43, ord("-") 45
-        text[:, 1] = ord("1")
-        text[:, 2] = ord(" ")
-        return text.tobytes()[:-1].decode("ascii")
+        return np.frombuffer(self.signs, dtype=np.int8)  # int8, sharing the bytes
+
+    def __getitem__(self, v: int) -> int:
+        return 1 if self.signs[v % len(self.signs)] == 1 else -1
+
+    def line(self) -> str:
+        text = bytearray(b"+1 ") * len(self.signs)
+        text[0::3] = self.signs.translate(bytes.maketrans(b"\x01\xff", b"+-"))
+        return text[:-1].decode("ascii")
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "Coloring":
-        import numpy as np
-
-        arr = np.asarray(values, dtype=np.int8)
-        if arr.ndim != 1 or arr.size == 0 or not np.all(np.abs(arr) == 1):
+        try:
+            signs = bytearray(map({1: 0x01, -1: 0xFF}.__getitem__, values))
+        except (KeyError, TypeError):  # not +1/-1, 257 included, or not a number
+            signs = bytearray()
+        if not signs:
             raise ValueError("coloring must be a nonempty sequence of +1/-1")
-        return cls(int(arr.size), arr)
+        return cls(signs)
 
 
 @dataclass(frozen=True)
@@ -128,8 +134,8 @@ class OddCycleCertificate:
         return realize(self.signed_pattern, self.start).to_json_dict()
 
 
-def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
-    """Decide one block without walking it: the +1/-1 values of its
+def _parity_union_find(g: SkipGraph) -> bytearray | int:
+    """Decide one block without walking it: the sign bytes of its
     2-coloring, or ``first``, the least vertex of the first component that
     holds an edge between two vertices of one parity.
 
@@ -211,11 +217,10 @@ def _parity_union_find(g: SkipGraph) -> np.ndarray | int:
     if odd.size:
         first = int((key[odd] >> 1).min())
         return first if live is None else int(live[first])
-    if live is None:
-        return 1 - 2 * (key & 1).astype(np.int8)
-    values = np.ones(period, dtype=np.int8)
-    values[live] = 1 - 2 * (key & 1)
-    return values
+    signs = bytearray(b"\x01") * period  # the BFS's bytes: isolated vertices stay +1
+    view = np.frombuffer(signs, dtype=np.int8)
+    view[slice(None) if live is None else live] = 1 - 2 * (key & 1).astype(np.int8)
+    return signs
 
 
 def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -277,9 +282,9 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
     if period >= _VECTOR_MIN_PERIOD:
         decided = _parity_union_find(g)
         if not isinstance(decided, int):
-            return Coloring(period, decided)
+            return Coloring(decided)
         first = decided
-    # One byte per vertex, the coloring as int8 at the end: 1 (+1) or 0xFF
+    # One byte per vertex, the coloring's signs at the end: 1 (+1) or 0xFF
     # (-1) once colored, 3 while a vertex with an edge is not.  Roots are
     # found by bytes.find; isolated vertices are never visited and stay 1.
     color = bytearray(b"\x01") * period
@@ -307,9 +312,7 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
                 elif cu == cv:
                     return _odd_cycle(g, order, v, u)
         root = color.find(3, root + 1)
-    import numpy as np
-
-    return Coloring(period, np.frombuffer(color, dtype=np.int8))
+    return Coloring(color)
 
 
 def two_color(g: SkipGraph) -> Coloring | None:

@@ -279,12 +279,35 @@ def test_verify_detects_bad_coloring(capsys, tmp_path):
     assert data["max_discrepancy"] >= 2
 
 
-@pytest.mark.parametrize("name", ["missing.txt", "."], ids=["missing", "directory"])
-def test_verify_unreadable_coloring_is_usage_error(capsys, tmp_path, name):
+@pytest.mark.parametrize(
+    "name, content",
+    [("missing.txt", None), (".", None), ("coloring.txt", b"\xff\xfe")],
+    ids=["missing", "directory", "not-utf8"],
+)
+def test_verify_unreadable_coloring_is_usage_error(capsys, tmp_path, name, content):
     path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
     code, _, err = run(capsys, "verify", "--coloring", str(path), "-s", "2,3,4", "--horizon", "240")
     assert code == 2
-    assert err.startswith("error: cannot read coloring file")
+    assert err.startswith(f"error: cannot read coloring file {path}: ")
+    if content is not None:
+        assert err.endswith(": not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "skips, cut",
+    [("2,3,4", None), ("2,3,4", 1), ("1,3", 1)],
+    ids=["bfs", "union-find", "union-find-skip-1"],
+)
+def test_color_erdos_coloring_is_mirrored(capsys, monkeypatch, skips, cut):
+    # the union-find relabels the multiples of a skip unless 1 is a skip
+    if cut is not None:
+        monkeypatch.setattr(hapdisc.skipgraph, "_VECTOR_MIN_PERIOD", cut)
+    _, plain, _ = run(capsys, "color", "-s", skips)
+    code, mirrored, _ = run(capsys, "color", "-s", skips, "--erdos-indexing")
+    assert code == 0
+    assert mirrored.split() == plain.split()[::-1] != plain.split()
 
 
 @pytest.mark.parametrize(

@@ -135,18 +135,23 @@ def test_only_block_verbs_import_numpy():
         ["realize", "-p", "[2 1 3]", "--start", "0"],
         ["longest", "-s", "1,5,7"],
         ["reduce", "-a", "1,2,3"],
-        # blocks below the union-find's cut that close an odd cycle build no coloring
+        # blocks below the union-find's cut are decided by the BFS, and a
+        # coloring is printed from its sign bytes
         ["cycle", "-s", "1,3,5,8"],
         ["color", "-s", "1,2,3"],
+        ["cycle", "-s", "2,3,4"],
+        ["color", "-s", "3,5,7,16", "--json"],
         ["color", "-s", "2,3,4"],
+        # a block of 95472 vertices is decided by the numpy union-find
+        ["cycle", "-s", "13,24,27,51"],
     )
-    assert [code for code, _, _ in runs] == [0, 1, 0, 0, 0, 0, 0, 1, 0]
+    assert [code for code, _, _ in runs] == [0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     assert runs[4][1] == "3 path 7 11 [1 5 1 7 1 5 1]\n"
     assert not any(state["numpy"] for _, _, state in runs[:-1])
-    code, line, state = runs[-1]
-    assert code == 0 and state["numpy"]
+    line = runs[-2][1]
     digest = hashlib.sha256(line.encode("ascii")).hexdigest()
     assert digest == "4ea7720885ed0030d5fb9be1248036ac25459291dfb30a877274cedcef338b31"
+    assert runs[-1][1] == "odd cycle: [+24 +27 -51] at 4080\n" and runs[-1][2]["numpy"]
 
 
 # each verb's argv, exit code and the modules it loads beyond the eager ones

@@ -146,6 +146,36 @@ def test_certificate_start_realizes_cycle():
     assert not walk.repeated_terms(as_cycle=True)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], [0], [2], [257], [-255], [[1], [-1]], np.array([[1], [-1]], dtype=np.int8)],
+    ids=["empty", "zero", "two", "257", "-255", "nested", "2-d"],
+)
+def test_from_values_rejects(values):
+    # 257 and -255 agree with +1 and -1 in their low byte
+    with pytest.raises(ValueError):
+        Coloring.from_values(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, -1, -1], (1, -1, -1), np.array([1, -1, -1], dtype=np.int8)],
+    ids=["list", "tuple", "int8"],
+)
+def test_from_values_accepts(values):
+    coloring = Coloring.from_values(values)
+    assert coloring.signs == b"\x01\xff\xff" and coloring.period == 3
+    assert [coloring[v] for v in range(-1, 4)] == [-1, 1, -1, -1, 1]
+
+
+@pytest.mark.parametrize("cut", [None, 1], ids=["bfs", "union-find"])
+def test_from_values_round_trip(monkeypatch, cut):
+    if cut is not None:
+        monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", cut)
+    coloring = solve_block(build_graph([3, 5, 7, 16]))
+    assert Coloring.from_values(coloring.values.tolist()).signs == coloring.signs
+
+
 def test_verify_discrepancy_alternating():
     coloring = Coloring.from_values([1, -1])
     assert verify_discrepancy(coloring, [1], 100) == 1
