@@ -27,7 +27,7 @@ from itertools import permutations
 from operator import mul
 from typing import Iterable
 
-from .pattern import SignedPattern, format_pattern, sorted_skips
+from .pattern import SignedPattern, sorted_skips
 from .realizability import valid_odd_cycle
 
 RULE_NONE = "none"
@@ -57,21 +57,6 @@ class Classification:
     predicted_cycle: SignedPattern | None = None
     predicted_start: int | None = None
     satisfied_bullets: tuple[str, ...] = field(default=())
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "forces": self.forces,
-            "rule": self.rule,
-            "labeling": self.labeling,
-        }
-        if self.predicted_cycle is not None:
-            out["cycle"] = {
-                "pattern": format_pattern(self.predicted_cycle),
-                "start": self.predicted_start,
-            }
-        if self.satisfied_bullets:
-            out["satisfied_bullets"] = list(self.satisfied_bullets)
-        return out
 
 
 def _rule(order: str, *cycles: str) -> tuple[str, tuple]:

@@ -4,11 +4,15 @@ Verbs map one-to-one onto the library: classify (closed forms, sizes
 1-4), color / cycle (skip-graph block), check (pattern realizability),
 realize (walk a pattern from a start term), longest (pruned search),
 reduce (equal-sum-subsets transformation) and verify (discrepancy of a
-stored coloring).  Each verb returns (payload, human line, exit code)
-and prints nothing; ``main`` writes the one stdout line, the human line
-by default or the payload as JSON with --json, and turns a ValueError
-into ``error: ...`` and a MemoryError into ``error: out of memory...``
-on stderr.  Exit codes: 0 success, 1 when classify/color establish that
+stored coloring).  The library returns records and has no output
+methods: each verb formats its record here, building the JSON payload
+and the human line side by side from the record's fields, and returns
+(payload, human line, exit code) without printing.  ``realize`` and
+every odd-cycle certificate share one walk object, ``{start, signs,
+skips, terms}``.  ``main`` writes the one stdout line, the human line by
+default or the payload as JSON with --json, and turns a ValueError into
+``error: ...`` and a MemoryError into ``error: out of memory...`` on
+stderr.  Exit codes: 0 success, 1 when classify/color establish that
 the set forces discrepancy two (so shell scripts can branch on it), 2
 for usage or input errors and for a block too large to allocate.
 
@@ -31,6 +35,7 @@ from .classify import classify
 from .pattern import (
     DEFAULT_PERIOD_CAP,
     Pattern,
+    Realization,
     SignedPattern,
     format_pattern,
     infer_signs,
@@ -70,21 +75,32 @@ def _mirrored(args, period: int, found):
     return OddCycleCertificate(sp, period - found.start)
 
 
-def _cycle_line(cert: OddCycleCertificate) -> str:
-    return f"odd cycle: {format_pattern(cert.signed_pattern)} at {cert.start}"
+def _walk_json(walk: Realization) -> dict:
+    """The walk object of ``realize`` and of every odd-cycle certificate."""
+    sp = walk.pattern
+    return {"start": walk.start, "signs": list(sp.signs), "skips": list(sp.skips), "terms": list(walk.terms)}
+
+
+def _cycle(cert: OddCycleCertificate) -> tuple[dict, str]:
+    walk = _walk_json(realize(cert.signed_pattern, cert.start))
+    return walk, f"odd cycle: {format_pattern(cert.signed_pattern)} at {cert.start}"
 
 
 def _cmd_classify(args) -> tuple[dict, str, int]:
     result = classify(_parse_int_list(args.skips, "skip set"))
+    payload: dict = {"forces": result.forces, "rule": result.rule, "labeling": result.labeling}
+    human = "forces discrepancy two: no"
     if result.forces:
-        labeling = ", ".join(f"{k}={v}" for k, v in (result.labeling or {}).items())
+        cycle = format_pattern(result.predicted_cycle)
+        payload["cycle"] = {"pattern": cycle, "start": result.predicted_start}
+        labeling = ", ".join(f"{k}={v}" for k, v in result.labeling.items())
         human = (
             f"forces discrepancy two: yes (rule {result.rule}; {labeling}; "
-            f"cycle {format_pattern(result.predicted_cycle)} at {result.predicted_start})"
+            f"cycle {cycle} at {result.predicted_start})"
         )
-    else:
-        human = "forces discrepancy two: no"
-    return result.to_json_dict(), human, int(result.forces)
+    if result.satisfied_bullets:
+        payload["satisfied_bullets"] = list(result.satisfied_bullets)
+    return payload, human, int(result.forces)
 
 
 def _block(args) -> tuple[int, Coloring | OddCycleCertificate]:
@@ -101,7 +117,8 @@ def _cmd_color(args) -> tuple[dict, str, int]:
     if isinstance(found, Coloring):
         line = found.line()
         return {"period": period, "coloring": line}, line, 0
-    return {"odd_cycle": found.to_json_dict()}, _cycle_line(found), 1
+    walk, human = _cycle(found)
+    return {"odd_cycle": walk}, human, 1
 
 
 def _cmd_cycle(args) -> tuple[dict, str, int]:
@@ -110,17 +127,21 @@ def _cmd_cycle(args) -> tuple[dict, str, int]:
     _, found = _block(args)
     if isinstance(found, Coloring):
         return {"certificate": None}, "none", 0
-    return {"certificate": found.to_json_dict()}, _cycle_line(found), 0
+    walk, human = _cycle(found)
+    return {"certificate": walk}, human, 0
 
 
 def _cmd_check(args) -> tuple[dict, str, int]:
     verdict = strict_realizability(parse_pattern(args.pattern))
     failure = verdict.failure
+    payload: dict = {"status": verdict.status}
     if failure is not None:
+        payload["failure"] = {"i": failure.i, "j": failure.j, "reason": failure.reason}
         human = f"forbidden ({failure.reason} fails on steps {failure.i}..{failure.j})"
     else:
+        payload["start"] = verdict.witness_start
         human = f"{verdict.status} at {verdict.witness_start} via {format_pattern(verdict.signed)}"
-    return verdict.to_json_dict(), human, 0
+    return payload, human, 0
 
 
 def _cmd_realize(args) -> tuple[dict, str, int]:
@@ -137,7 +158,7 @@ def _cmd_realize(args) -> tuple[dict, str, int]:
     human = f"{format_pattern(p)} at {start}: terms {' '.join(map(str, walk.terms))}"
     if walk.parity_violations:
         human += f" (parity violations at {list(walk.parity_violations)})"
-    return walk.to_json_dict(), human, 0
+    return _walk_json(walk), human, 0
 
 
 def _cmd_longest(args) -> tuple[dict, str, int]:
@@ -150,7 +171,17 @@ def _cmd_longest(args) -> tuple[dict, str, int]:
         result = search.longest_odd_cycle(skips, args.max_len)
     if result is None:
         return {"result": None}, "none", 0
-    return result.to_json_dict(), result.table_row(len(set(skips))), 0
+    pattern = format_pattern(result.pattern)
+    payload = {
+        "kind": result.kind,
+        "length": result.length,
+        "start": result.start,
+        "pattern": pattern,
+        "signed": format_pattern(result.signed),
+        "lower_bound": result.lower_bound,
+    }
+    human = f"{len(set(skips))} {result.kind.replace('odd-', '')} {result.length} {result.start} {pattern}"
+    return payload, human + (" (lower bound)" if result.lower_bound else ""), 0
 
 
 def _cmd_reduce(args) -> tuple[dict, str, int]:

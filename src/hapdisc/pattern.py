@@ -205,14 +205,6 @@ class Realization:
         """
         return not self.parity_violations and not self.repeated_terms()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "signs": list(self.pattern.signs),
-            "skips": list(self.pattern.skips),
-            "terms": list(self.terms),
-        }
-
 
 def realize(sp: SignedPattern, start: int) -> Realization:
     """Walk ``sp`` from ``start``, recording terms and any violations."""

@@ -67,18 +67,6 @@ class RealizabilityVerdict:
     failure: SubpathReport | None = None
     signed: SignedPattern | None = None
 
-    def to_json_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.witness_start is not None:
-            out["start"] = self.witness_start
-        if self.failure is not None:
-            out["failure"] = {
-                "i": self.failure.i,
-                "j": self.failure.j,
-                "reason": self.failure.reason,
-            }
-        return out
-
 
 @dataclass(frozen=True)
 class CycleVerdict:

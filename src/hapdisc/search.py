@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pattern import AnyPattern, Pattern, SignedPattern, format_pattern, sorted_skips
+from .pattern import AnyPattern, Pattern, SignedPattern, sorted_skips
 from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
@@ -62,20 +62,6 @@ class SearchResult:
     pattern: Pattern
     signed: SignedPattern
     lower_bound: bool = False
-
-    def table_row(self, size: int) -> str:
-        row = f"{size} {self.kind.replace('odd-', '')} {self.length} {self.start} {format_pattern(self.pattern)}"
-        return row + (" (lower bound)" if self.lower_bound else "")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "length": self.length,
-            "start": self.start,
-            "pattern": format_pattern(self.pattern),
-            "signed": format_pattern(self.signed),
-            "lower_bound": self.lower_bound,
-        }
 
 
 def _window(width: int, match):

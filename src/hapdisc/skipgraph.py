@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, realize, sorted_skips
+from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, sorted_skips
 from .realizability import valid_odd_cycle
 
 if TYPE_CHECKING:
@@ -129,9 +129,6 @@ class OddCycleCertificate:
 
     signed_pattern: SignedPattern
     start: int
-
-    def to_json_dict(self) -> dict:
-        return realize(self.signed_pattern, self.start).to_json_dict()
 
 
 def _parity_union_find(g: SkipGraph) -> bytearray | int:

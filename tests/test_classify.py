@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import math
 import random
 from itertools import combinations
@@ -7,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from hapdisc.classify import Classification, UnsupportedSizeError, classify
+from hapdisc.cli import main
 from hapdisc.pattern import SignedPattern, format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
 from hapdisc.skipgraph import OddCycleCertificate, build_graph, solve_block
@@ -183,12 +185,14 @@ def test_satisfied_bullets_diagnostic():
     assert classify([3, 5, 7, 9]).satisfied_bullets == ()
 
 
-def test_to_json_dict_shape():
-    data = classify([1, 2, 3]).to_json_dict()
+def test_json_shape(capsys):
+    assert main(["classify", "-s", "1,2,3", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
     assert data["forces"] is True
     assert data["rule"] == "size3"
     assert data["cycle"] == {"pattern": "[+2 +1 -3]", "start": 0}
-    data = classify([4, 9]).to_json_dict()
+    assert main(["classify", "-s", "4,9", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data == {"forces": False, "rule": "none", "labeling": None}
 
 

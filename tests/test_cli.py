@@ -323,25 +323,116 @@ def test_color_erdos_certificate_is_mirrored(capsys, verb, key, exit_code):
     assert cert["signs"] == [-1, -1, 1]
 
 
+def _row(argv, exit_code, human_line, json_line):
+    return pytest.param(argv, exit_code, human_line, json_line, id=f"{' '.join(argv[:3])}-{exit_code}")
+
+
+COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +1 +1 +1"
+
+
 @pytest.mark.parametrize(
-    "argv,exit_code",
+    "argv,exit_code,human_line,json_line",
     [
-        (["classify", "-s", "1,2,3"], 1),
-        (["color", "-s", "2,3,4"], 0),
-        (["color", "-s", "1,2,3"], 1),
-        (["cycle", "-s", "1,3,5,8"], 0),
-        (["check", "-p", "[5 1 10]"], 0),
-        (["realize", "-p", "[2 1 3]", "--start", "0"], 0),
-        (["longest", "-s", "1,5,7"], 0),
-        (["reduce", "-a", "1,2,3"], 0),
-        (["verify", "--coloring", "COLORING", "-s", "2,3,4", "--horizon", "240"], 0),
+        _row(
+            ["classify", "-s", "1,2,3"],
+            1,
+            "forces discrepancy two: yes (rule size3; a=2, b=1, c=3; cycle [+2 +1 -3] at 0)",
+            '{"forces": true, "rule": "size3", "labeling": {"a": 2, "b": 1, "c": 3}, '
+            '"cycle": {"pattern": "[+2 +1 -3]", "start": 0}}',
+        ),
+        _row(
+            ["classify", "-s", "4,9"],
+            0,
+            "forces discrepancy two: no",
+            '{"forces": false, "rule": "none", "labeling": null}',
+        ),
+        _row(["color", "-s", "2,3,4"], 0, COLORING_234, f'{{"period": 24, "coloring": "{COLORING_234}"}}'),
+        _row(
+            ["color", "-s", "1,2,3"],
+            1,
+            "odd cycle: [+2 +1 -3] at 0",
+            '{"odd_cycle": {"start": 0, "signs": [1, 1, -1], "skips": [2, 1, 3], "terms": [0, 2, 3, 0]}}',
+        ),
+        _row(
+            ["cycle", "-s", "1,3,5,8"],
+            0,
+            "odd cycle: [+8 +1 -3 +1 -5 +1 -3] at 48",
+            '{"certificate": {"start": 48, "signs": [1, 1, -1, 1, -1, 1, -1], '
+            '"skips": [8, 1, 3, 1, 5, 1, 3], "terms": [48, 56, 57, 54, 55, 50, 51, 48]}}',
+        ),
+        _row(["cycle", "-s", "2,3,4"], 0, "none", '{"certificate": null}'),
+        _row(
+            ["check", "-p", "[5 1 10]"],
+            0,
+            "forbidden (divisibility fails on steps 0..2)",
+            '{"status": "forbidden", "failure": {"i": 0, "j": 2, "reason": "divisibility"}}',
+        ),
+        _row(
+            ["check", "-p", "[1 3 2]"],
+            0,
+            "realizable at 8 via [+1 -3 -2]",
+            '{"status": "realizable", "start": 8}',
+        ),
+        _row(
+            ["check", "-p", "[+4 +3 -1 +2]"],
+            0,
+            "forbidden (parity fails on steps 0..3)",
+            '{"status": "forbidden", "failure": {"i": 0, "j": 3, "reason": "parity"}}',
+        ),
+        _row(
+            ["realize", "-p", "[2 1 3]", "--start", "0"],
+            0,
+            "[+2 +1 -3] at 0: terms 0 2 3 0",
+            '{"start": 0, "signs": [1, 1, -1], "skips": [2, 1, 3], "terms": [0, 2, 3, 0]}',
+        ),
+        _row(
+            ["realize", "-p", "[+2 +1 -3]", "--start", "1"],
+            0,
+            "[+2 +1 -3] at 1: terms 1 3 4 1 (parity violations at [0, 1, 2])",
+            '{"start": 1, "signs": [1, 1, -1], "skips": [2, 1, 3], "terms": [1, 3, 4, 1]}',
+        ),
+        _row(
+            ["longest", "-s", "1,5,7"],
+            0,
+            "3 path 7 11 [1 5 1 7 1 5 1]",
+            '{"kind": "path", "length": 7, "start": 11, "pattern": "[1 5 1 7 1 5 1]", '
+            '"signed": "[-1 +5 -1 +7 -1 +5 -1]", "lower_bound": false}',
+        ),
+        _row(
+            ["longest", "--max-len", "3", "-s", "1,5,7"],
+            0,
+            "3 path 3 1 [1 5 1] (lower bound)",
+            '{"kind": "path", "length": 3, "start": 1, "pattern": "[1 5 1]", '
+            '"signed": "[-1 +5 -1]", "lower_bound": true}',
+        ),
+        _row(["longest", "-s", "1,2", "--kind", "cycle"], 0, "none", '{"result": null}'),
+        _row(
+            ["reduce", "-a", "1,2,3"],
+            0,
+            "M=1680 r=12 t=18481 s=[25201, 30241, 35281] ess: positive X=[1, 2] Y=[3] "
+            "cycle=[+25201 -35281 +30241 -18481 -1680]",
+            '{"M": 1680, "r": 12, "t": 18481, "s": [25201, 30241, 35281], '
+            '"ess": {"answer": true, "X": [1, 2], "Y": [3]}, "cycle": "[+25201 -35281 +30241 -18481 -1680]"}',
+        ),
+        _row(
+            ["reduce", "-a", "1,2,4"],
+            0,
+            "M=6552 r=18 t=111385 s=[137593, 157249, 196561] ess: negative",
+            '{"M": 6552, "r": 18, "t": 111385, "s": [137593, 157249, 196561], "ess": {"answer": false}}',
+        ),
+        _row(
+            ["verify", "--coloring", "COLORING", "-s", "2,3,4", "--horizon", "240"],
+            0,
+            "max |d(s,k)| = 1 up to horizon 240",
+            '{"max_discrepancy": 1, "horizon": 240}',
+        ),
     ],
-    ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else None,
 )
 @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
-def test_output_contract(capsys, tmp_path, argv, exit_code, as_json):
-    # every verb writes one stdout line, nothing on stderr, and the
-    # README's exit code, in both output modes
+def test_output_contract(capsys, tmp_path, argv, exit_code, human_line, json_line, as_json):
+    # every verb writes its one exact stdout line, JSON key order
+    # included, nothing on stderr, and the README's exit code, in both
+    # output modes
     coloring = tmp_path / "coloring.txt"
     block = solve_block(build_graph((2, 3, 4)))
     assert isinstance(block, Coloring)
@@ -353,6 +444,9 @@ def test_output_contract(capsys, tmp_path, argv, exit_code, as_json):
     assert captured.err == ""
     lines = captured.out.split("\n")
     assert len(lines) == 2 and lines[0] and lines[1] == ""
+    assert lines[0] == (json_line if as_json else human_line)
+    if as_json:
+        assert isinstance(json.loads(lines[0]), dict)
     if as_json:
         assert isinstance(json.loads(lines[0]), dict)
 

@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from hapdisc import realizability, search
+from hapdisc.cli import main
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
 from hapdisc.realizability import (
     _subpath_reports,
@@ -147,18 +148,25 @@ def test_rule_soundness_random_longer():
         assert strict_realizability(Pattern(skips)).status != "realizable", skips
 
 
-def test_longest_path_rows():
-    assert longest_path([1, 3], 9).table_row(2) == "2 path 3 1 [1 3 1]"
-    assert longest_path([1, 5, 7], 9).table_row(3) == "3 path 7 11 [1 5 1 7 1 5 1]"
+def longest_row(capsys, kind, skips):
+    """The ``longest`` verb's one stdout line at cap 9."""
+    assert main(["longest", "-s", skips, "--kind", kind, "--max-len", "9"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    return out[:-1]
+
+
+def test_longest_path_rows(capsys):
+    assert longest_row(capsys, "path", "1,3") == "2 path 3 1 [1 3 1]"
+    assert longest_row(capsys, "path", "1,5,7") == "3 path 7 11 [1 5 1 7 1 5 1]"
     single = longest_path([3], 9)
     assert single.length == 1
     assert single.start == 0
 
 
-def test_longest_odd_cycle_rows():
-    assert longest_odd_cycle([1, 2, 3], 9).table_row(3) == "3 cycle 3 0 [2 1 3]"
-    seven = longest_odd_cycle([1, 3, 5, 8], 9)
-    assert seven.table_row(4) == "4 cycle 7 48 [8 1 3 1 5 1 3]"
+def test_longest_odd_cycle_rows(capsys):
+    assert longest_row(capsys, "cycle", "1,2,3") == "3 cycle 3 0 [2 1 3]"
+    assert longest_row(capsys, "cycle", "1,3,5,8") == "4 cycle 7 48 [8 1 3 1 5 1 3]"
     assert longest_odd_cycle([1, 3], 9) is None
 
 
