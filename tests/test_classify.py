@@ -185,7 +185,7 @@ def test_satisfied_bullets_diagnostic():
     assert classify([3, 5, 7, 9]).satisfied_bullets == ()
 
 
-def test_json_shape(capsys):
+def test_to_json_dict_shape(capsys):
     assert main(["classify", "-s", "1,2,3", "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["forces"] is True
