@@ -10,7 +10,8 @@ and the human line side by side from the record's fields, and returns
 (payload, human line, exit code) without printing.  ``realize`` and
 every odd-cycle certificate share one walk object, ``{start, signs,
 skips, terms}``.  ``main`` writes the one stdout line, the human line by
-default or the payload as JSON with --json, and turns a ValueError into
+default or the payload as JSON with --json (a payload that is already
+JSON text, such as a coloring's, as it is), and turns a ValueError into
 ``error: ...`` and a MemoryError into ``error: out of memory...`` on
 stderr.  Exit codes: 0 success, 1 when classify/color establish that
 the set forces discrepancy two (so shell scripts can branch on it), 2
@@ -110,13 +111,15 @@ def _block(args) -> tuple[int, Coloring | OddCycleCertificate]:
     return g.period, _mirrored(args, g.period, skipgraph.solve_block(g))
 
 
-def _cmd_color(args) -> tuple[dict, str, int]:
+def _cmd_color(args) -> tuple[dict | str, str, int]:
     from .skipgraph import Coloring
 
     period, found = _block(args)
     if isinstance(found, Coloring):
+        # JSON escapes none of "+-1 ", so the payload is the line wrapped,
+        # not the line scanned again by json.dumps
         line = found.line()
-        return {"period": period, "coloring": line}, line, 0
+        return f'{{"period": {period}, "coloring": "{line}"}}', line, 0
     walk, human = _cycle(found)
     return {"odd_cycle": walk}, human, 1
 
@@ -139,8 +142,10 @@ def _cmd_check(args) -> tuple[dict, str, int]:
         payload["failure"] = {"i": failure.i, "j": failure.j, "reason": failure.reason}
         human = f"forbidden ({failure.reason} fails on steps {failure.i}..{failure.j})"
     else:
+        signed = format_pattern(verdict.signed)
         payload["start"] = verdict.witness_start
-        human = f"{verdict.status} at {verdict.witness_start} via {format_pattern(verdict.signed)}"
+        payload["signed"] = signed
+        human = f"{verdict.status} at {verdict.witness_start} via {signed}"
     return payload, human, 0
 
 
@@ -155,10 +160,12 @@ def _cmd_realize(args) -> tuple[dict, str, int]:
         if start is None:
             raise ValueError("pattern is not weakly realizable; give --start explicitly")
     walk = realize(p, start)
+    payload = _walk_json(walk)
     human = f"{format_pattern(p)} at {start}: terms {' '.join(map(str, walk.terms))}"
     if walk.parity_violations:
-        human += f" (parity violations at {list(walk.parity_violations)})"
-    return _walk_json(walk), human, 0
+        payload["parity_violations"] = list(walk.parity_violations)
+        human += f" (parity violations at {payload['parity_violations']})"
+    return payload, human, 0
 
 
 def _cmd_longest(args) -> tuple[dict, str, int]:
@@ -343,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             import json
 
-            line = json.dumps(payload)
+            line = payload if isinstance(payload, str) else json.dumps(payload)
         try:
             print(line, flush=True)
         except BrokenPipeError:

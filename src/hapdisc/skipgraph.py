@@ -17,17 +17,18 @@ then marks the uncolored multiples of a skip, from which it takes its
 roots in ascending order, so it never visits an isolated vertex.
 From 2**16 on a numpy union-find with parity decides the block; the BFS
 then runs only on an odd component, to build its cycle.  The cut is set
-by the benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).  Unless
-1 is a skip, the union-find runs on the vertices that are a multiple of
-some skip alone, numbered in ascending order.  That relabel is monotone,
-so the least label of a component is its least vertex and both algorithms
-still agree.  The union-find reads every edge, made per skip in chunks,
-for two rounds only: an edge whose ends share a root shares it for good,
-so later rounds read just the few edges that still join two roots.  No
-graph is materialized either way, and either way a ``Coloring`` holds the
-BFS's sign bytes.  Only the union-find, ``verify_discrepancy`` and
-``Coloring.values`` import numpy, so the cut also decides whether
-``color`` and ``cycle`` load it.
+by the benchmark, not by solve time (see ``_VECTOR_MIN_PERIOD``).  The
+union-find contracts each edge of the smallest skip, a pair of vertices
+of opposite colors, into one node, and its nodes are those pairs and the
+other multiples of a larger skip, numbered by least vertex.  That relabel
+is monotone, so the least label of a component is its least vertex and
+both algorithms still agree.  The union-find reads the larger skips'
+edges, made per skip in chunks, for two rounds only: an edge whose ends
+share a root shares it for good, so later rounds read just the few
+edges that still join two roots.  No graph is materialized either way,
+and either way a ``Coloring`` holds the BFS's sign bytes.  Only the
+union-find, ``verify_discrepancy`` and ``Coloring.values`` import numpy,
+so the cut also decides whether ``color`` and ``cycle`` load it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ if TYPE_CHECKING:
 # alone, 38.9 to 44.5 and 44.1, past the benchmark's 10 % bound.  Lower the cut
 # once it bounds that; below the cut ``color`` and ``cycle`` load no numpy.
 _VECTOR_MIN_PERIOD = 1 << 16
-_CHUNK = 1 << 16  # edges, or vertices, per numpy batch
+_CHUNK = 1 << 16  # edges, or nodes, per numpy batch
 
 
 class PeriodCapExceeded(ValueError):
@@ -110,7 +111,8 @@ class Coloring:
     def line(self) -> str:
         text = bytearray(b"+1 ") * len(self.signs)
         text[0::3] = self.signs.translate(bytes.maketrans(b"\x01\xff", b"+-"))
-        return text[:-1].decode("ascii")
+        del text[-1]  # the trailing space, in place: one 3n-byte buffer per line
+        return text.decode("ascii")
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "Coloring":
@@ -136,21 +138,27 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     2-coloring, or ``first``, the least vertex of the first component that
     holds an edge between two vertices of one parity.
 
-    ``key[v]`` is 2*parent + the parity of v relative to its parent.  Each
-    round hooks the root of every edge's larger end to the smaller root,
-    with the parity the edge implies, keeping the least offer per root
-    (the hooking of Shiloach and Vishkin, J. Algorithms 3, 1982), then
+    The smallest skip s0 pairs its multiples off, (2k*s0, 2k*s0 + s0), and
+    the two ends of a pair always take opposite colors.  So each pair is
+    contracted into one node, and every other vertex with an edge, a
+    multiple of a larger skip alone, is a node by itself.  The nodes are
+    numbered in ascending order of their least vertex, and each end of a
+    larger skip's edge reads as 2*label + 1 at a pair's odd vertex, else
+    2*label: its low bit is the end's parity relative to its node.  A pair
+    on no larger skip's edge is a whole component and stays out: its even
+    end is +1, its odd end -1.  The relabel is monotone: the least label
+    of a component is its least vertex, and a parent still precedes its
+    child.  Roots, parities and ``first`` are therefore those of the
+    whole block.
+
+    ``key[i]`` is 2*parent + the parity of node i relative to its parent.
+    Each round hooks the root of every edge's larger end to the smaller
+    root, with the parity the edge implies, keeping the least offer per
+    root (the hooking of Shiloach and Vishkin, J. Algorithms 3, 1982), then
     jumps pointers.  Rounds repeat until no edge joins two roots.  A root
     only ever hooks to a smaller one, so each component ends rooted at its
-    least vertex, and the parity relative to it is the BFS's coloring
+    least node, and the parity relative to it is the BFS's coloring
     exactly; isolated vertices stay +1.
-
-    Without skip 1 only the multiples of some skip have edges, so the
-    union-find runs on those live vertices alone, numbered in ascending
-    order.  The relabel is monotone: the least label of a component is its
-    least vertex, and a parent still precedes its child.  Roots, parities
-    and ``first`` are therefore those of the whole block.  With skip 1
-    every vertex is live, and the union-find runs on the block as it is.
 
     The first round hooks batch after batch, on keys that earlier batches
     may have left stale; each hook it makes is still implied by the edges,
@@ -160,10 +168,10 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     so a settled edge never hooks again: the second round keeps only the
     edges that still join two roots, a few percent of them, and later
     rounds read just those.  Such a round jumps only the roots hooked since
-    the first round and the ends of its edges, and one pass at the end puts
-    every vertex on its root.  A settled edge of equal parities closes an
-    odd cycle and is noted as it is seen; ``first`` is the least final root
-    among the noted edges.
+    the first round and the nodes of its edges, and one pass at the end
+    puts every node on its root.  A settled edge of equal parities closes
+    an odd cycle and is noted as it is seen; ``first`` is the least final
+    root among the noted edges.
     """
     period = g.period
     if 2 * period >= 1 << 63:  # keys would overflow int64 before anything is allocated
@@ -171,28 +179,30 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     import numpy as np
 
     dtype = np.int32 if 2 * period < 1 << 31 else np.int64
-    live = label = None
-    n = period
-    if g.skips[0] != 1:
-        mask = np.zeros(period, dtype=bool)
-        for s in g.skips:
-            mask[::s] = True
-        live = np.flatnonzero(mask).astype(dtype)  # the vertices with an edge, ascending
-        label = np.empty(period, dtype=dtype)  # read at live vertices only
-        n = live.size
-        label[live] = np.arange(n, dtype=dtype)
+    s0 = g.skips[0]
+    head = np.zeros(period, dtype=bool)  # True at the least vertex of each node
+    for s in g.skips[1:]:
+        head[::s] = True
+    head[:: 2 * s0] |= head[s0 :: 2 * s0]  # a pair's node starts at its even end
+    head[s0 :: 2 * s0] = False
+    live = np.flatnonzero(head).astype(dtype)  # each node's least vertex, ascending
+    n = live.size
+    end = np.empty(period, dtype=dtype)  # read at the ends of larger skips' edges only
+    end[live] = np.arange(0, 2 * n, 2, dtype=dtype)
+    end[s0 :: 2 * s0] = end[:: 2 * s0] | 1
     key = np.arange(0, 2 * n, 2, dtype=dtype)
-    for u, w in _edges(g, label, dtype):
+    for u, w in _edges(g, end):
         _hook(key, u, w)
     for lo in range(0, n, _CHUNK):  # parents precede children: earlier batches are flat
         _jump(key, slice(lo, lo + _CHUNK))
-    hooked = np.empty(0, dtype=dtype)  # the roots hooked since the first round
-    batches = _edges(g, label, dtype)
-    odd = []
+    empty = np.empty(0, dtype=dtype)  # so that a lone skip, with no edges, concatenates
+    hooked = empty  # the roots hooked since the first round
+    batches = _edges(g, end)
+    odd = [empty]
     while True:
-        kept_u, kept_w = [], []
+        kept_u, kept_w = [empty], [empty]
         for u, w in batches:
-            ku, kw = key[u], key[w]
+            ku, kw = _end_keys(key, u), _end_keys(key, w)
             joins = ku >> 1 != kw >> 1
             odd.append(u[~joins & ((ku ^ kw) & 1 == 0)])  # one root, equal parities
             kept_u.append(u[joins])
@@ -200,11 +210,12 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
         u, w = np.concatenate(kept_u), np.concatenate(kept_w)
         if not u.size:
             break
-        ku, kw = key[u], key[w]
+        nu, nw = u >> 1, w >> 1
+        ku, kw = key[nu], key[nw]
         hooked = np.concatenate([hooked, _hook(key, u, w)])
         _jump(key, hooked)
-        key[u] = key[ku >> 1] ^ (ku & 1)  # the ends onto their new roots
-        key[w] = key[kw >> 1] ^ (kw & 1)
+        key[nu] = key[ku >> 1] ^ (ku & 1)  # the nodes onto their new roots
+        key[nw] = key[kw >> 1] ^ (kw & 1)
         batches = [(u, w)]
     if hooked.size:  # every parent is now a root or points at one
         for lo in range(0, n, _CHUNK):
@@ -212,12 +223,17 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
             part[...] = key[part >> 1] ^ (part & 1)
     odd = np.concatenate(odd)
     if odd.size:
-        first = int((key[odd] >> 1).min())
-        return first if live is None else int(live[first])
+        return int(live[(key[odd >> 1] >> 1).min()])
     signs = bytearray(b"\x01") * period  # the BFS's bytes: isolated vertices stay +1
     view = np.frombuffer(signs, dtype=np.int8)
-    view[slice(None) if live is None else live] = 1 - 2 * (key & 1).astype(np.int8)
+    view[live] = 1 - 2 * (key & 1).astype(np.int8)
+    view[s0 :: 2 * s0] = -view[:: 2 * s0]  # each pair's odd end
     return signs
+
+
+def _end_keys(key: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """2*parent + parity of each edge end, from its node's key and low bit."""
+    return key[ends >> 1] ^ (ends & 1)
 
 
 def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -225,7 +241,7 @@ def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     the least offer per root; returns the roots that were offered one."""
     import numpy as np
 
-    ku, kw = key[u], key[w]
+    ku, kw = _end_keys(key, u), _end_keys(key, w)
     ru, rw = ku >> 1, kw >> 1
     flip = (ku ^ kw ^ 1) & 1  # parity of rw relative to ru
     top = np.maximum(ru, rw)
@@ -233,22 +249,16 @@ def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return top
 
 
-def _edges(g: SkipGraph, label: np.ndarray | None, dtype):
-    """The edges (u, u + s) of each skip s, u an even multiple of s, in
-    batches of at most ``_CHUNK``: as labels when ``label`` is given, else
-    as vertices."""
-    import numpy as np
-
+def _edges(g: SkipGraph, end: np.ndarray):
+    """The edges (u, u + s) of each skip s but the smallest, u an even
+    multiple of s, as the ends ``end`` gives them, in batches of at most
+    ``_CHUNK``."""
     period = g.period
-    for s in g.skips:
+    for s in g.skips[1:]:
         stride = 2 * s * _CHUNK
         for lo in range(0, period, stride):
             hi = min(lo + stride, period)
-            if label is None:
-                u = np.arange(lo, hi, 2 * s, dtype=dtype)
-                yield u, u + s
-            else:
-                yield label[lo : hi : 2 * s], label[lo + s : hi : 2 * s]
+            yield end[lo : hi : 2 * s], end[lo + s : hi : 2 * s]
 
 
 def _jump(key: np.ndarray, at) -> None:

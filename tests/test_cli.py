@@ -66,7 +66,7 @@ def test_check_signed_parity(capsys):
 
 def test_check_realizable(capsys):
     code, data = run_json(capsys, "check", "-p", "[-1 +3 -1]")
-    assert data == {"status": "realizable", "start": 1}
+    assert data == {"status": "realizable", "start": 1, "signed": "[-1 +3 -1]"}
 
 
 def test_check_long_unsigned_pattern(capsys):
@@ -301,13 +301,33 @@ def test_verify_unreadable_coloring_is_usage_error(capsys, tmp_path, name, conte
     ids=["bfs", "union-find", "union-find-skip-1"],
 )
 def test_color_erdos_coloring_is_mirrored(capsys, monkeypatch, skips, cut):
-    # the union-find relabels the multiples of a skip unless 1 is a skip
+    # the union-find contracts the smallest skip's pairs, skip 1's included
     if cut is not None:
         monkeypatch.setattr(hapdisc.skipgraph, "_VECTOR_MIN_PERIOD", cut)
     _, plain, _ = run(capsys, "color", "-s", skips)
     code, mirrored, _ = run(capsys, "color", "-s", skips, "--erdos-indexing")
     assert code == 0
     assert mirrored.split() == plain.split()[::-1] != plain.split()
+
+
+@pytest.mark.parametrize(
+    "skips, extra",
+    [
+        ("3,5,7,16", []),  # 3360 vertices: the BFS
+        ("1,5,23,43,53", []),  # 524170 vertices: the union-find, skip 1's pairs contracted
+        ("17,28,29,60", []),  # 414120 vertices: the union-find, skip 17's pairs contracted
+        ("7,9,11,13,16", ["--erdos-indexing"]),
+    ],
+    ids=["bfs", "union-find-skip-1", "union-find", "union-find-erdos"],
+)
+def test_color_json_is_the_line_as_json(capsys, skips, extra):
+    # the coloring's JSON is built around its line, not by json.dumps
+    _, line, _ = run(capsys, "color", "-s", skips, *extra)
+    code = main(["color", "-s", skips, *extra, "--json"])
+    out = capsys.readouterr().out
+    period = build_graph(map(int, skips.split(","))).period
+    assert code == 0
+    assert out == json.dumps({"period": period, "coloring": line}) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -371,7 +391,7 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             ["check", "-p", "[1 3 2]"],
             0,
             "realizable at 8 via [+1 -3 -2]",
-            '{"status": "realizable", "start": 8}',
+            '{"status": "realizable", "start": 8, "signed": "[+1 -3 -2]"}',
         ),
         _row(
             ["check", "-p", "[+4 +3 -1 +2]"],
@@ -389,7 +409,8 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             ["realize", "-p", "[+2 +1 -3]", "--start", "1"],
             0,
             "[+2 +1 -3] at 1: terms 1 3 4 1 (parity violations at [0, 1, 2])",
-            '{"start": 1, "signs": [1, 1, -1], "skips": [2, 1, 3], "terms": [1, 3, 4, 1]}',
+            '{"start": 1, "signs": [1, 1, -1], "skips": [2, 1, 3], "terms": [1, 3, 4, 1], '
+            '"parity_violations": [0, 1, 2]}',
         ),
         _row(
             ["longest", "-s", "1,5,7"],

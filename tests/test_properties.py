@@ -18,6 +18,7 @@ from functools import reduce
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hapdisc import skipgraph
 from hapdisc.classify import classify
 from hapdisc.pattern import Pattern, SignedPattern, parse_pattern, realize
 from hapdisc.realizability import (
@@ -276,6 +277,39 @@ def test_solve_block_matches_oracles(skips):
         assert terms[-1] == terms[0] and _distinct(terms[:-1])
     if len(skips) <= 4:
         assert classify(skips).forces == isinstance(found, OddCycleCertificate)
+
+
+# 1-6 skips up to 40 that all divide one L <= 2^12, so the block has at
+# most 2^13 vertices; each L has at least three such divisors
+SMALL_DIVISORS = [
+    ds for L in range(1, 2**12 + 1) if len(ds := [d for d in range(1, 41) if L % d == 0]) >= 3
+]
+union_find_sets = st.sampled_from(SMALL_DIVISORS).flatmap(
+    lambda ds: st.lists(st.sampled_from(ds), min_size=1, max_size=6, unique=True)
+)
+
+
+def _solved_with_cut(g, cut: int):
+    saved = skipgraph._VECTOR_MIN_PERIOD
+    skipgraph._VECTOR_MIN_PERIOD = cut
+    try:
+        return solve_block(g)
+    finally:
+        skipgraph._VECTOR_MIN_PERIOD = saved
+
+
+@settings(PROPERTY, max_examples=300)
+@given(union_find_sets)
+@example([1, 5, 7])  # skip 1's pairs, bipartite
+@example([1, 2, 3])  # skip 1's pairs, odd
+@example([4, 6])  # 16 of 24 vertices isolated, and the pair (16, 20) on no 6-edge
+@example([2, 3, 5])  # s0 = 2 with isolated pairs, odd in a later component
+@example([3])  # one skip: every pair is a whole component
+def test_union_find_matches_whole_block_bfs(skips):
+    # the union-find over the smallest skip's contracted pairs gives the
+    # BFS's coloring, or the BFS's certificate through its restart
+    g = build_graph(skips)
+    assert _solved_with_cut(g, 1) == _solved_with_cut(g, g.period + 1)
 
 
 # 3- and 4-sets of skips up to 24, half of them built around a sum
