@@ -54,8 +54,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"cannot parse {what} {text!r}; expected comma-separated integers")
-    if not values:
-        raise ValueError(f"{what} must be nonempty")
     return values
 
 
@@ -111,15 +109,15 @@ def _block(args) -> tuple[int, Coloring | OddCycleCertificate]:
     return g.period, _mirrored(args, g.period, skipgraph.solve_block(g))
 
 
-def _cmd_color(args) -> tuple[dict | str, str, int]:
+def _cmd_color(args) -> tuple[dict | str | None, str, int]:
     from .skipgraph import Coloring
 
     period, found = _block(args)
     if isinstance(found, Coloring):
         # JSON escapes none of "+-1 ", so the payload is the line wrapped,
-        # not the line scanned again by json.dumps
+        # not the line scanned again by json.dumps; only --json prints it
         line = found.line()
-        return f'{{"period": {period}, "coloring": "{line}"}}', line, 0
+        return (f'{{"period": {period}, "coloring": "{line}"}}' if args.json else None), line, 0
     walk, human = _cycle(found)
     return {"odd_cycle": walk}, human, 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class PatternSyntaxError(ValueError):
@@ -94,6 +94,12 @@ class SignedPattern:
 
     def unsigned(self) -> Pattern:
         return Pattern(self.skips)
+
+
+def _walk_order(steps: Sequence[tuple[int, int]]) -> tuple[tuple[bool, ...], tuple[int, ...]]:
+    """Sort key of the walk order, signs with + before -, then skips: the
+    tie-break of the block solver's odd cycles and the search's rows."""
+    return tuple(sign < 0 for sign, _ in steps), tuple(skip for _, skip in steps)
 
 
 AnyPattern = Union[Pattern, SignedPattern]

@@ -25,8 +25,8 @@ merge is the identity.  It runs none of the window rules, which can only
 cut what these checks cut already (see ``_search``).  Every surviving node is therefore a
 realizable path; cycle candidates additionally need an odd length and a
 zero signed sum.  Among maximum-length candidates the result is the one
-with the least witness start, then lexicographically least signs (+
-before -), then skips.
+with the least witness start, then the first in walk order
+(``pattern._walk_order``: signs with + before -, then skips).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .pattern import AnyPattern, Pattern, SignedPattern, sorted_skips
+from .pattern import AnyPattern, Pattern, SignedPattern, _walk_order, sorted_skips
 from .realizability import (
     REALIZABLE,
     _sign_free_divisibility_failure,
@@ -178,12 +178,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
         # called only when length >= best_len, so only the tie-break is left
         nonlocal best, best_len
         all_steps = steps + [closing] if closing else steps
-        key = (
-            -length,
-            start,
-            tuple((1 - s) // 2 for s, _ in all_steps),
-            tuple(a for _, a in all_steps),
-        )
+        key = (-length, start, *_walk_order(all_steps))
         if best is None or key < best:
             best = key + (tuple(all_steps),)
             best_len = length

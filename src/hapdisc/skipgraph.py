@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, sorted_skips
+from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, _walk_order, sorted_skips
 from .realizability import valid_odd_cycle
 
 if TYPE_CHECKING:
@@ -202,7 +202,7 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     while True:
         kept_u, kept_w = [empty], [empty]
         for u, w in batches:
-            ku, kw = _end_keys(key, u), _end_keys(key, w)
+            ku, kw = _up(key, u), _up(key, w)
             joins = ku >> 1 != kw >> 1
             odd.append(u[~joins & ((ku ^ kw) & 1 == 0)])  # one root, equal parities
             kept_u.append(u[joins])
@@ -214,13 +214,13 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
         ku, kw = key[nu], key[nw]
         hooked = np.concatenate([hooked, _hook(key, u, w)])
         _jump(key, hooked)
-        key[nu] = key[ku >> 1] ^ (ku & 1)  # the nodes onto their new roots
-        key[nw] = key[kw >> 1] ^ (kw & 1)
+        key[nu] = _up(key, ku)  # the nodes onto their new roots
+        key[nw] = _up(key, kw)
         batches = [(u, w)]
     if hooked.size:  # every parent is now a root or points at one
         for lo in range(0, n, _CHUNK):
             part = key[lo : lo + _CHUNK]
-            part[...] = key[part >> 1] ^ (part & 1)
+            part[...] = _up(key, part)
     odd = np.concatenate(odd)
     if odd.size:
         return int(live[(key[odd >> 1] >> 1).min()])
@@ -231,9 +231,10 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     return signs
 
 
-def _end_keys(key: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """2*parent + parity of each edge end, from its node's key and low bit."""
-    return key[ends >> 1] ^ (ends & 1)
+def _up(key: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """One pointer step: for each k = 2*node + parity, a key or an edge end,
+    the node's key with that parity folded in (2*parent + parity)."""
+    return key[k >> 1] ^ (k & 1)
 
 
 def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -241,7 +242,7 @@ def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     the least offer per root; returns the roots that were offered one."""
     import numpy as np
 
-    ku, kw = _end_keys(key, u), _end_keys(key, w)
+    ku, kw = _up(key, u), _up(key, w)
     ru, rw = ku >> 1, kw >> 1
     flip = (ku ^ kw ^ 1) & 1  # parity of rw relative to ru
     top = np.maximum(ru, rw)
@@ -268,7 +269,7 @@ def _jump(key: np.ndarray, at) -> None:
 
     while True:
         k = key[at]
-        up = key[k >> 1] ^ (k & 1)
+        up = _up(key, k)
         if np.array_equal(up, k):  # every parent is a root
             return
         key[at] = up
@@ -328,22 +329,6 @@ def two_color(g: SkipGraph) -> Coloring | None:
     return found if isinstance(found, Coloring) else None
 
 
-def _canonical_cycle(vertices: list[int]) -> tuple[SignedPattern, int]:
-    """Rotate to the least vertex and orient by sign order (+ before -)."""
-    i0 = vertices.index(min(vertices))
-    rot = vertices[i0:] + vertices[:i0]
-    candidates = []
-    for vs in (rot, [rot[0]] + rot[1:][::-1]):
-        steps = []
-        for a, b in zip(vs, vs[1:] + vs[:1]):
-            d = b - a
-            steps.append((1 if d > 0 else -1, abs(d)))
-        sp = SignedPattern(tuple(steps))
-        candidates.append((tuple((1 - s) // 2 for s in sp.signs), sp.skips, sp))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return candidates[0][2], rot[0]
-
-
 def _odd_cycle(g: SkipGraph, order: list[int], v: int, u: int) -> OddCycleCertificate:
     """The odd cycle closed by the conflict edge (v, u) through the BFS tree.
 
@@ -364,12 +349,18 @@ def _odd_cycle(g: SkipGraph, order: list[int], v: int, u: int) -> OddCycleCertif
             path_u.append(parent(path_u[-1]))
     vertices = path_v + path_u[:-1][::-1]
     assert len(vertices) % 2 == 1 and len(set(vertices)) == len(vertices)
-    sp, start = _canonical_cycle(vertices)
+    # the cycle closed at its least vertex, in the orientation first in walk order
+    i0 = vertices.index(min(vertices))
+    closed = vertices[i0:] + vertices[: i0 + 1]
+    orientations = (
+        tuple((1 if y > x else -1, abs(y - x)) for x, y in zip(w, w[1:])) for w in (closed, closed[::-1])
+    )
+    sp = SignedPattern(min(orientations, key=_walk_order))
     assert all(skip in g.skips for skip in sp.skips)
     verdict = valid_odd_cycle(sp)
     if not verdict.valid:
         raise RuntimeError(f"extracted cycle failed validation: {sp.steps}")
-    return OddCycleCertificate(sp, start)
+    return OddCycleCertificate(sp, closed[0])
 
 
 def find_odd_cycle(g: SkipGraph) -> OddCycleCertificate | None:

@@ -468,8 +468,6 @@ def test_output_contract(capsys, tmp_path, argv, exit_code, human_line, json_lin
     assert lines[0] == (json_line if as_json else human_line)
     if as_json:
         assert isinstance(json.loads(lines[0]), dict)
-    if as_json:
-        assert isinstance(json.loads(lines[0]), dict)
 
 
 @pytest.mark.parametrize(
@@ -511,6 +509,29 @@ def test_usage_error_on_bad_skips(capsys):
 def test_negative_list_reaches_the_library_check(capsys, argv, err):
     # argparse alone would take "-1,2" for an option and print its usage
     code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["classify", "-s", ","], "error: skip set must be nonempty"),
+        (["color", "-s", ","], "error: skip set must be nonempty"),
+        (["longest", "-s", ","], "error: skip set must be nonempty"),
+        (
+            ["verify", "--coloring", "COLORING", "-s", ",", "--horizon", "3"],
+            "error: skip set must be nonempty",
+        ),
+        (["reduce", "-a", ","], "error: instance must be nonempty"),
+    ],
+    ids=["classify", "color", "longest", "verify", "reduce"],
+)
+def test_empty_list_reaches_the_library_check(capsys, tmp_path, argv, err):
+    # the CLI parses a list of no integers and leaves it to the library
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text("+1 -1\n")
+    code = main([str(coloring) if a == "COLORING" else a for a in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err + "\n")
 

@@ -3,10 +3,11 @@ discrepancy verifier against the brute-force oracles.
 
 Pattern skips stay at most 8, so one period of any block graph drawn for
 a pattern is at most 2 * lcm(1..8) = 1680 terms and every period scan
-stays cheap; the block solver gets skip sets of periods up to 2^14, and
-the classifier's cycles are scanned over periods up to 2^16.  The
-oracles below check arcs as well as terms, as the paper's definition
-reads; the library checks terms alone.
+stays cheap; the block solver gets skip sets of periods up to 2^14 (2^18
+for the walk order of its cycles), and the classifier's cycles are
+scanned over periods up to 2^16.  The oracles below check arcs as well
+as terms, as the paper's definition reads; the library checks terms
+alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from hapdisc.realizability import (
     valid_odd_cycle,
     weakly_realizable,
 )
+from hapdisc.search import longest_odd_cycle
 from hapdisc.skipgraph import (
     Coloring,
     OddCycleCertificate,
@@ -320,6 +322,35 @@ sum_sets = (
     .map(lambda t: [t[0], t[1], t[0] + t[1], *t[2]])
     .filter(lambda s: len(set(s)) == len(s))
 )
+
+
+def _first_in_walk_order(sp: SignedPattern, start: int) -> bool:
+    # the cycle starts at its least term, and its steps, compared as
+    # (signs with + first, then skips), come no later than the reversed
+    # orientation's from the same start
+    def order(steps):
+        return "".join("+" if sign > 0 else "-" for sign, _ in steps), [skip for _, skip in steps]
+
+    reverse = [(-sign, skip) for sign, skip in reversed(sp.steps)]
+    return start == min(realize(sp, start).terms) and order(sp.steps) <= order(reverse)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(random_sets, sum_sets).filter(lambda s: 2 * math.lcm(*s) <= 2**18))
+@example((1, 2, 3))  # a triangle, both orientations from 0
+@example((1, 3, 5, 8))  # the 7-cycle row of size4-bullet-4
+@example((13, 24, 27, 51))  # 95 472 vertices: the union-find at the default cut too
+def test_cycles_follow_the_walk_order(skips):
+    # the block solver's certificates, from the BFS and from the
+    # union-find, and the search's odd cycles pick one walk of a cycle
+    # by the same order
+    g = build_graph(skips)
+    for found in (solve_block(g), _solved_with_cut(g, 1)):
+        if isinstance(found, OddCycleCertificate):
+            assert _first_in_walk_order(found.signed_pattern, found.start)
+    result = longest_odd_cycle(skips, 7)
+    if result is not None:
+        assert _first_in_walk_order(result.signed, result.start)
 
 
 @PROPERTY
