@@ -19,7 +19,6 @@ from .classify import classify
 _LAZY = {
     "Classification": "classify",
     "UnsupportedSizeError": "classify",
-    "two_adic_valuation": "numeric",
     "Pattern": "pattern",
     "PatternSyntaxError": "pattern",
     "Realization": "pattern",

@@ -150,6 +150,13 @@ def format_pattern(p: AnyPattern) -> str:
     return "[" + " ".join(str(skip) for skip in p.skips) + "]"
 
 
+def _step_sign(t: int, a: int) -> int:
+    """The sign of the a-step that leaves term t: +1 at an even multiple
+    of a, -1 at an odd multiple, 0 when t is no multiple of a."""
+    r = t % (2 * a)
+    return 1 if r == 0 else -1 if r == a else 0
+
+
 def infer_signs(p: Pattern, start: int) -> SignedPattern:
     """Assign directions by walking from ``start``.
 
@@ -162,10 +169,9 @@ def infer_signs(p: Pattern, start: int) -> SignedPattern:
     t = start
     steps = []
     for k, skip in enumerate(p.skips):
-        q, rem = divmod(t, skip)
-        if rem:
+        sign = _step_sign(t, skip)
+        if not sign:
             raise SignInferenceError(k, t, skip)
-        sign = 1 if q % 2 == 0 else -1
         steps.append((sign, skip))
         t += sign * skip
     return SignedPattern(tuple(steps))
@@ -220,8 +226,7 @@ def realize(sp: SignedPattern, start: int) -> Realization:
     terms = [t]
     violations = []
     for k, (sign, skip) in enumerate(sp.steps):
-        want = 0 if sign > 0 else skip
-        if t < 0 or t % (2 * skip) != want:
+        if t < 0 or _step_sign(t, skip) != sign:
             violations.append(k)
         t += sign * skip
         terms.append(t)

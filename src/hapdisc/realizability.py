@@ -13,13 +13,14 @@ of the skips strictly between them:
 
 Equivalently, the start term T must solve one congruence per step (step
 k leaves from an even multiple of a_k when positive, an odd multiple when
-negative).  One signing walk decides every verdict: it merges these
-congruences step by step, admitting + then - on an unsigned pattern by
-one residue test, and reports the least nonnegative solution as the
-witness start.  Strict realizability additionally demands that the walk
-repeat no term or arc (an arc repeat implies a term repeat, so only
-terms are checked), which depends only on the pattern, not on the
-chosen start.
+negative).  One congruence test decides both conditions of a span: its
+two end steps' congruences agree modulo 2 gcd(a_i, a_j).  One signing
+walk decides every verdict: it merges the congruences step by step,
+admitting + then - on an unsigned pattern by one residue test, and
+reports the least nonnegative solution as the witness start.  Strict
+realizability additionally demands that the walk repeat no term or arc
+(an arc repeat implies a term repeat, so only terms are checked), which
+depends only on the pattern, not on the chosen start.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .numeric import two_adic_valuation
 from .pattern import AnyPattern, Pattern, SignedPattern, realize
 
 FORBIDDEN = "forbidden"
@@ -86,18 +86,13 @@ def _span(
     (sign, skip) end steps, ``inner`` the signed sum strictly between them."""
     (sign_first, a_first), (sign_last, a_last) = first, last
     g = math.gcd(a_first, a_last)
-    if inner % g:
-        return SubpathReport(i, j, inner, g, False, False)
-    even = (inner // g) % 2 == 0
-    va = two_adic_valuation(a_first)
-    vb = two_adic_valuation(a_last)
-    if va < vb:
-        required = sign_first == -1
-    elif va > vb:
-        required = sign_last == 1
-    else:
-        required = sign_first == -sign_last
-    return SubpathReport(i, j, inner, g, True, even == required)
+    # Step i needs T = [s_i < 0] a_i mod 2a_i and step j needs T + s_i a_i +
+    # inner = [s_j < 0] a_j mod 2a_j: one T solves both iff they agree mod
+    # 2g, i.e. (as -a_j = a_j mod 2g) iff 2g divides ``shifted``, which needs
+    # g to divide inner.  The paper's 2-adic cases are which of a_i/g, a_j/g
+    # is odd.
+    shifted = inner + (a_first if sign_first > 0 else 0) + (a_last if sign_last < 0 else 0)
+    return SubpathReport(i, j, inner, g, inner % g == 0, shifted % (2 * g) == 0)
 
 
 def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:

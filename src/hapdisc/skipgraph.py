@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, _walk_order, sorted_skips
+from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, _step_sign, _walk_order, sorted_skips
 from .realizability import valid_odd_cycle
 
 if TYPE_CHECKING:
@@ -73,12 +73,7 @@ class SkipGraph:
     period: int
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for s in self.skips:
-            q, r = divmod(v, s)
-            if r == 0:
-                out.append(v + s if q % 2 == 0 else v - s)
-        return out
+        return [v + sign * s for s in self.skips if (sign := _step_sign(v, s))]
 
 
 def build_graph(skips: Iterable[int], cap: int = DEFAULT_PERIOD_CAP) -> SkipGraph:
@@ -305,7 +300,7 @@ def solve_block(g: SkipGraph) -> Coloring | OddCycleCertificate:
         order = [root]  # the BFS queue, kept whole: it stands in for parents
         for v in order:
             cv = color[v]
-            for s, s2 in pairs:
+            for s, s2 in pairs:  # ``pattern._step_sign``, inlined in this hot loop
                 r = v % s2
                 if r == 0:
                     u = v + s

@@ -144,6 +144,7 @@ def test_longest_rows(capsys):
     assert code == 0
     assert out == "2 path 3 1 [1 3 1]"
     code, out, _ = run(capsys, "longest", "-s", "1,2,3", "--kind", "cycle", "--max-len", "9")
+    assert code == 0
     assert out == "3 cycle 3 0 [2 1 3]"
     code, out, _ = run(capsys, "longest", "-s", "1,3", "--kind", "cycle")
     assert out == "none"
@@ -413,7 +414,7 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             '"parity_violations": [0, 1, 2]}',
         ),
         _row(
-            ["longest", "-s", "1,5,7"],
+            ["longest", "-s", "1,5,7", "--kind", "path"],
             0,
             "3 path 7 11 [1 5 1 7 1 5 1]",
             '{"kind": "path", "length": 7, "start": 11, "pattern": "[1 5 1 7 1 5 1]", '

@@ -5,25 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from hapdisc.numeric import two_adic_valuation
-
 from oracles import brute_congruence_solution, crt_merge
-
-
-@pytest.mark.parametrize("n,expected", [(1, 0), (8, 3), (12, 2), (3, 0), (48, 4)])
-def test_two_adic_valuation(n, expected):
-    assert two_adic_valuation(n) == expected
-
-
-@pytest.mark.parametrize("bad", [0, -1, -12])
-def test_two_adic_valuation_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        two_adic_valuation(bad)
-
-
-def test_valuation_doubles():
-    for n in range(1, 2000):
-        assert two_adic_valuation(2 * n) == two_adic_valuation(n) + 1
 
 
 def _solve(pairs):

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "rule_scan",
     "solve_block",
     "strict_realizability",
-    "two_adic_valuation",
     "two_color",
     "valid_odd_cycle",
     "verify_discrepancy",
@@ -107,7 +106,7 @@ import json
 print(json.dumps(report))
 """
 
-EAGER = ["hapdisc.classify", "hapdisc.cli", "hapdisc.numeric", "hapdisc.pattern", "hapdisc.realizability"]
+EAGER = ["hapdisc.classify", "hapdisc.cli", "hapdisc.pattern", "hapdisc.realizability"]
 
 
 def _probe(*argvs):

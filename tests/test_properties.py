@@ -16,6 +16,7 @@ import itertools
 import math
 from functools import reduce
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,7 @@ from oracles import (
     sign_free_span_failure,
     span_walk_exists,
     step_congruence,
+    two_adic_valuation,
     walk_attempt,
     weak_signings,
 )
@@ -180,6 +182,22 @@ def test_signed_verdict_matches_walk_scan(sp):
         assert strict_realizability(sp).failure == weak.failure == check_subpath(sp, *first)
 
 
+def paper_parity(first: tuple[int, int], inner: int, last: tuple[int, int]) -> bool:
+    """The paper's parity condition on a span whose divisibility holds: the
+    inner sum is an even multiple of the gcd exactly when the end skip of
+    the lower 2-adic class steps the required way."""
+    (sign_i, a_i), (sign_j, a_j) = first, last
+    even = inner // math.gcd(a_i, a_j) % 2 == 0
+    v_i, v_j = two_adic_valuation(a_i), two_adic_valuation(a_j)
+    if v_i < v_j:
+        required = sign_i == -1  # the lower class on the left steps down
+    elif v_i > v_j:
+        required = sign_j == 1  # the lower class on the right steps up
+    else:
+        required = sign_i == -sign_j  # equal classes step opposite ways
+    return even == required
+
+
 @PROPERTY
 @given(signed_patterns)
 def test_span_verdicts_match_two_step_scan(sp):
@@ -196,6 +214,8 @@ def test_span_verdicts_match_two_step_scan(sp):
         assert report == check_subpath(sp, i, j)
         assert report.divisibility_ok == (inner % math.gcd(steps[i][1], steps[j][1]) == 0)
         assert report.ok == span_walk_exists(steps[i], inner, steps[j])
+        if report.divisibility_ok:
+            assert report.parity_ok == paper_parity(steps[i], inner, steps[j])
 
 
 # 40-digit skips sharing the factor BIG: only +/-BIG three times sits
@@ -221,6 +241,36 @@ def test_sign_free_failure_matches_signing_scan(skips):
     assert report == SubpathReport(*expected, False, False)
     verdict = strict_realizability(p)
     assert (verdict.status, verdict.failure) == (FORBIDDEN, report)
+
+
+@pytest.mark.parametrize(
+    "skips,classes",
+    [
+        ((3 * BIG, BIG, 5 * BIG, 10 * BIG), "left lower"),
+        ((12 * BIG, 6 * BIG, 6 * BIG), "right lower"),
+        ((4 * BIG, 2 * BIG, 2 * BIG, 12 * BIG), "equal"),
+    ],
+)
+def test_huge_span_verdicts_match_the_paper(skips, classes):
+    # every signing of a span of 40-digit skips: the paper's 2-adic rule
+    # where divisibility holds, and the two end steps' start congruences
+    # merged by the oracle
+    v_first, v_last = two_adic_valuation(skips[0]), two_adic_valuation(skips[-1])
+    assert classes == ("left lower" if v_first < v_last else "right lower" if v_first > v_last else "equal")
+    g = math.gcd(skips[0], skips[-1])
+    verdicts = set()
+    for signs in itertools.product((1, -1), repeat=len(skips)):
+        sp = SignedPattern(tuple(zip(signs, skips)))
+        first, last = sp.steps[0], sp.steps[-1]
+        inner = sum(sign * skip for sign, skip in sp.steps[1:-1])
+        report = check_subpath(sp, 0, len(skips) - 1)
+        assert report.divisibility_ok == (inner % g == 0)
+        if report.divisibility_ok:
+            assert report.parity_ok == paper_parity(first, inner, last)
+        merged = crt_merge(step_congruence(*first, 0), step_congruence(*last, first[0] * first[1] + inner))
+        assert report.ok == (merged is not None)
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 @PROPERTY

@@ -45,6 +45,15 @@ def test_build_graph_single_skip():
     assert g.neighbors(1) == [0]
 
 
+@pytest.mark.parametrize("skips", [(1, 3, 4), (4, 6), (3, 5, 7, 8, 10)])
+def test_neighbors_follow_the_step_rule(skips):
+    # each multiple of s has one s-neighbour, up from an even multiple and
+    # down from an odd one, listed in skip order; (4, 6) has isolated vertices
+    g = build_graph(skips)
+    for v in range(g.period):
+        assert g.neighbors(v) == [v + s if v % (2 * s) == 0 else v - s for s in skips if v % s == 0]
+
+
 def test_build_graph_cap():
     period = 2 * math.lcm(3, 9, 16, 18, 19, 20)
     with pytest.raises(PeriodCapExceeded) as err:
