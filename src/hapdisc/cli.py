@@ -193,8 +193,9 @@ def _cmd_reduce(args) -> tuple[dict, str, int]:
     from . import reduction
 
     inst = reduction.ESSInstance.of(_parse_int_list(args.elements, "instance"))
-    ri = reduction.build_d1_instance(inst)
+    # ess_solve's limits refuse an instance before its skips are built
     witness = reduction.ess_solve(inst)
+    ri = reduction.build_d1_instance(inst)
     payload: dict = {
         "M": ri.M,
         "r": ri.r,

@@ -16,11 +16,20 @@ weakly realizable, which already rules out any discrepancy-1 coloring.
 The constructed values grow multiplicatively, so everything here runs on
 arbitrary-precision integers; the graphs themselves are far too large to
 build, and verification goes through the arithmetic engine instead.
+
+``ess_solve`` finds the first witness by |Y| ascending, then X, then Y
+(as index tuples).  Each level |Y| = k builds one sum index, from each
+k-subset's sum to its k-subsets in lexicographic order, and walks the
+(k+1)-subsets in lexicographic order against it, so a level costs
+C(n, k) + C(n, k+1) subsets.  Two limits raise BudgetExceeded: more than
+BRUTE_FORCE_LIMIT elements, which also bounds the transformed skips, and
+a level of more than LEVEL_LIMIT subsets.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -28,6 +37,10 @@ from typing import Iterable
 from .pattern import SignedPattern
 
 BRUTE_FORCE_LIMIT = 24
+# subsets one level of ess_solve may index and walk, C(n, k) + C(n, k+1):
+# 20 elements still answer (their largest level is 352 716), where 24
+# would index up to C(24, 11) = 2 496 144 subsets, several hundred MB
+LEVEL_LIMIT = 400_000
 
 
 class BudgetExceeded(ValueError):
@@ -84,10 +97,12 @@ class ReductionInstance:
 
 
 def ess_solve(inst: ESSInstance) -> ESSWitness | None:
-    """Exhaustive scan for a witness, in a fixed canonical order.
+    """The first witness in a fixed canonical order, or None.
 
     Pairs are tried by |Y| ascending, then X ascending, then Y ascending
-    (as index tuples), so the first match is deterministic.
+    (as index tuples), so the first match is deterministic: the first X
+    whose sum has a disjoint Y in its level's sum index, with the first
+    such Y.  Raises BudgetExceeded at either limit of the module docstring.
     """
     n = inst.n
     if n > BRUTE_FORCE_LIMIT:
@@ -97,18 +112,28 @@ def ess_solve(inst: ESSInstance) -> ESSWitness | None:
     elems = inst.elements
     indices = range(n)
     for k in range(1, (n - 1) // 2 + 1):
+        work = math.comb(n, k) + math.comb(n, k + 1)
+        if work > LEVEL_LIMIT:
+            raise BudgetExceeded(
+                f"equal-sum scan at |Y| = {k} indexes and walks {work} subsets, "
+                f"past the limit of {LEVEL_LIMIT}"
+            )
+        index: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+        for y in combinations(indices, k):
+            index[sum(elems[i] for i in y)].append(y)
         for x in combinations(indices, k + 1):
-            sx = sum(elems[i] for i in x)
-            rest = [i for i in indices if i not in x]
-            for y in combinations(rest, k):
-                if sum(elems[i] for i in y) == sx:
+            for y in index.get(sum(elems[i] for i in x), ()):
+                if set(x).isdisjoint(y):
                     return ESSWitness(x, y)
     return None
 
 
 def validate_witness(inst: ESSInstance, w: ESSWitness) -> None:
     xs, ys = set(w.x_indices), set(w.y_indices)
-    if not (xs.isdisjoint(ys) and len(xs) == len(w.x_indices) == len(ys) + 1):
+    if not (
+        xs.isdisjoint(ys)
+        and len(xs) == len(w.x_indices) == len(ys) + 1 == len(w.y_indices) + 1
+    ):
         raise ValueError(f"malformed witness: X={w.x_indices}, Y={w.y_indices}")
     if not all(0 <= i < inst.n for i in xs | ys):
         raise ValueError(f"witness indices out of range for n={inst.n}")

@@ -144,6 +144,22 @@ def step_congruence(sign: int, skip: int, offset: int) -> tuple[int, int]:
 # gcd-reduced set: gcd-divides and 2-adic-class tests, no cycle search.
 
 
+def ess_first_witness(elems: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first equal-sum pair (X, Y), |X| = |Y| + 1, of the sorted
+    ``elems`` as index tuples, by |Y| ascending, then X, then Y: the
+    nested scan that ``reduction.ess_solve`` must agree with."""
+    n = len(elems)
+    indices = range(n)
+    for k in range(1, (n - 1) // 2 + 1):
+        for x in combinations(indices, k + 1):
+            sx = sum(elems[i] for i in x)
+            rest = [i for i in indices if i not in x]
+            for y in combinations(rest, k):
+                if sum(elems[i] for i in y) == sx:
+                    return x, y
+    return None
+
+
 def _three_cycle_triple(elements: tuple[int, ...]) -> tuple[dict[str, int], list] | None:
     """First triple p + q = r with p and q in different 2-adic classes."""
     for c in elements:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hapdisc.cli
+import hapdisc.reduction
 import hapdisc.skipgraph
 from hapdisc.cli import main
 from hapdisc.pattern import Pattern, parse_pattern
@@ -237,6 +238,15 @@ def test_out_of_memory_exits_two(capsys, monkeypatch, message, line):
     monkeypatch.setattr(hapdisc.skipgraph, "solve_block", solve_block)
     for verb in ("color", "cycle"):
         assert run(capsys, verb, "-s", "2,3,4") == (2, "", line)
+
+
+def test_reduce_refuses_before_building(capsys, monkeypatch):
+    # the transformed skips of 25 elements are never built, let alone printed
+    built = []
+    monkeypatch.setattr(hapdisc.reduction, "build_d1_instance", built.append)
+    code, out, err = run(capsys, "reduce", "-a", ",".join(map(str, range(1, 26))))
+    assert (code, out, built) == (2, "", [])
+    assert err == "error: brute-force scan supports up to 24 elements, got 25"
 
 
 def test_reduce_json_schema(capsys):

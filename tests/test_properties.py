@@ -37,6 +37,7 @@ from hapdisc.realizability import (
     valid_odd_cycle,
     weakly_realizable,
 )
+from hapdisc.reduction import ESSInstance, ess_solve
 from hapdisc.search import longest_odd_cycle
 from hapdisc.skipgraph import (
     Coloring,
@@ -49,6 +50,7 @@ from oracles import (
     brute_congruence_solution,
     crt_merge,
     discrepancy_scan,
+    ess_first_witness,
     least_walk_start,
     paper_conditions,
     sign_free_span_failure,
@@ -526,3 +528,26 @@ def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
     assert len(merging) in ((0, 2) if both else (0, 1))
     if step == 1:
         assert all(merged == acc for merged in merging.values())
+
+
+# ESS instances of 1-11 distinct elements, dense (at most 3n, where
+# witnesses abound) or sparse (up to 10^6, where they are rare)
+ess_instances = st.integers(1, 11).flatmap(
+    lambda n: st.one_of(
+        st.sets(st.integers(1, 3 * n), min_size=n, max_size=n),
+        st.sets(st.integers(1, 10**6), min_size=n, max_size=n),
+    )
+)
+
+
+@PROPERTY
+@given(ess_instances)
+@example({1, 2, 3})
+@example({1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})  # no witness at any level
+@example({1, 2, 4, 7, 10})  # first witness at |Y| = 2: 1 + 4 + 7 == 2 + 10
+@example({1, 2, 4, 10, 15, 20, 23})  # X = (0, 2, 5) sums to 2 + 23 and to 10 + 15
+def test_ess_solve_matches_nested_scan(values):
+    inst = ESSInstance.of(values)
+    witness = ess_solve(inst)
+    found = None if witness is None else (witness.x_indices, witness.y_indices)
+    assert found == ess_first_witness(inst.elements)

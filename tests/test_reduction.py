@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -39,6 +40,17 @@ def test_ess_solve_examples():
 def test_ess_solve_budget():
     with pytest.raises(BudgetExceeded):
         ess_solve(ESSInstance.of(range(1, 30)))
+    # no witness at any level: 24 powers of two stop at the level limit
+    # before their index grows large, and 20 still answer
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            ess_solve(ESSInstance.of(2**i for i in range(24)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert ess_solve(ESSInstance.of(2**i for i in range(20))) is None
 
 
 def test_build_d1_instance_hand_checked():
@@ -77,6 +89,8 @@ def test_witness_cycle_rejects_bad_witness():
         witness_cycle(ri, ESSWitness((0, 1), (1,)))
     with pytest.raises(ValueError):
         witness_cycle(ri, ESSWitness((0, 2), (1,)))
+    with pytest.raises(ValueError):  # 1 + 3 == 2 + 2, but Y repeats index 1
+        witness_cycle(ri, ESSWitness((0, 2), (1, 1)))
 
 
 def step_counts(ri, cycle: SignedPattern) -> Counter:
