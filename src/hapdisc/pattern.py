@@ -11,7 +11,6 @@ step from an odd multiple (the right end).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -179,7 +178,8 @@ def infer_signs(p: Pattern, start: int) -> SignedPattern:
 
 @dataclass(frozen=True)
 class Realization:
-    """A signed pattern walked from a concrete start term.
+    """A signed pattern walked from a concrete start term: a record for
+    output, which the ``realize`` verb and the certificates' JSON read.
 
     ``terms[k]`` is the value before step k.  ``parity_violations`` lists
     steps leaving from the wrong multiple (odd where an even multiple is
@@ -190,32 +190,6 @@ class Realization:
     start: int
     terms: tuple[int, ...]
     parity_violations: tuple[int, ...]
-
-    @property
-    def is_closed(self) -> bool:
-        return self.terms[0] == self.terms[-1]
-
-    def repeated_terms(self, as_cycle: bool = False) -> tuple[int, ...]:
-        """Term values visited more than once.
-
-        With ``as_cycle`` a closed walk's final return to the start term is
-        not a repeat (a cycle of k skips has k terms, not k+1).
-        """
-        terms = self.terms
-        if as_cycle and self.is_closed:
-            terms = terms[:-1]
-        counts = Counter(terms)
-        return tuple(sorted(t for t, c in counts.items() if c > 1))
-
-    def is_strict(self) -> bool:
-        """True when the walk is parity-valid and repeats no term or arc.
-
-        Checking terms suffices: arcs join consecutive terms, so distinct
-        terms give distinct arcs.  Nor can a parity-valid walk go
-        negative: it starts at 0 or above, and a valid down step leaves
-        an odd multiple (2q+1)a >= a, landing at 0 or above.
-        """
-        return not self.parity_violations and not self.repeated_terms()
 
 
 def realize(sp: SignedPattern, start: int) -> Realization:

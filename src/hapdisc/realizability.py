@@ -18,18 +18,19 @@ two end steps' congruences agree modulo 2 gcd(a_i, a_j).  One signing
 walk decides every verdict: it merges the congruences step by step,
 admitting + then - on an unsigned pattern by one residue test, and
 reports the least nonnegative solution as the witness start.  Strict
-realizability additionally demands that the walk repeat no term or arc
-(an arc repeat implies a term repeat, so only terms are checked), which
-depends only on the pattern, not on the chosen start.
+realizability additionally demands that the walk repeat no term (an arc
+repeat implies one): the partial sums of its signed steps decide that,
+whatever the start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
-from .pattern import AnyPattern, Pattern, SignedPattern, realize
+from .pattern import AnyPattern, Pattern, SignedPattern
 
 FORBIDDEN = "forbidden"
 WEAKLY_REALIZABLE = "weakly-realizable"
@@ -201,6 +202,16 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
         yield SignedPattern(tuple(zip(signs, skips))), start
 
 
+def _repeats_a_term(sp: SignedPattern, closed: bool = False) -> bool:
+    """Whether the partial sums of ``sp``'s signed steps, from 0, hold a
+    duplicate: whether its walk repeats a term, at every start.  With
+    ``closed`` the last sum, a cycle's return to its start, is dropped."""
+    sums = list(accumulate((sign * skip for sign, skip in sp.steps), initial=0))
+    if closed:
+        sums.pop()
+    return len(set(sums)) < len(sums)
+
+
 def _forbidden(p: AnyPattern) -> RealizabilityVerdict:
     """FORBIDDEN with a failing subpath: the first failing span of a signed
     pattern; for an unsigned one a sign-free divisibility failure, else the
@@ -231,15 +242,17 @@ def weakly_realizable(sp: SignedPattern) -> RealizabilityVerdict:
 def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
     """Three-way verdict: forbidden, weakly realizable only, or realizable.
 
-    Each weakly realizable signing is checked at its least witness start;
-    term and arc coincidences are start-independent, so one witness
-    decides (an arc repeat implies a term repeat, so terms alone are
-    compared).  The lexicographically least strict signing is reported,
-    else the least weak one.  A signed pattern has one signing, itself.
+    A weakly realizable signing is strict when the partial sums of its
+    signed steps repeat no value (``_repeats_a_term``): distinct terms give
+    distinct arcs, and the least witness start solves every step's
+    congruence, so its walk needs no parity check and never goes negative
+    (a valid down step leaves (2q+1)a >= a).  The lexicographically least
+    strict signing is reported, else the least weak one.  A signed pattern
+    has one signing, itself.
     """
     first_weak: RealizabilityVerdict | None = None
     for sp, start in _signings(p):
-        if realize(sp, start).is_strict():
+        if not _repeats_a_term(sp):
             return RealizabilityVerdict(REALIZABLE, start, signed=sp)
         if first_weak is None:
             first_weak = RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=sp)
@@ -250,10 +263,11 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
     """Check that ``sp`` closes into an odd cycle somewhere in the graph.
 
     Valid means: odd length, signed sum zero, weakly realizable, and the
-    closed walk repeats no arc and no term other than its final return to
-    the start.  An arc repeat implies a term repeat here: an odd cycle has
-    at least three steps, and on three or more distinct terms t0..tn-1 the
-    arcs {tk, tk+1 mod n} are distinct.
+    closed walk repeats no arc and no term but its return to the start,
+    read off the partial sums of the signed steps (``_repeats_a_term``).
+    An arc repeat implies a term repeat here: an odd cycle has at least
+    three steps, and on three or more distinct terms t0..tn-1 the arcs
+    {tk, tk+1 mod n} are distinct.
     """
     total = sp.signed_sum
     if len(sp) % 2 == 0:
@@ -264,7 +278,6 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
     if found is None:
         return CycleVerdict(False, total, reason="not-weakly-realizable")
     start = found[1]
-    walk = realize(sp, start)
-    if walk.repeated_terms(as_cycle=True):
+    if _repeats_a_term(sp, closed=True):
         return CycleVerdict(False, total, witness_start=start, reason="repeated-term")
     return CycleVerdict(True, total, witness_start=start)

@@ -13,9 +13,10 @@ rule does not certify realizability.
 The depth-first search enumerates signed extensions and prunes by
 congruence, freshness and distance only: a single incrementally merged
 start-term congruence, which decides weak realizability of the whole
-prefix, term freshness, and for cycles the distance still to cover back
-to the start.  A node carries its congruence as two ints, and each
-skip a has one cached step row per modulus (``_step_row``): g =
+prefix, term freshness (``realizability._repeats_a_term``'s rule, applied
+step by step to the partial sums in ``seen``), and for cycles the distance
+still to cover back to the start.  A node carries its congruence as two
+ints, and each skip a has one cached step row per modulus (``_step_row``): g =
 gcd(modulus, 2a), whether g divides a, and the step and inverse of the
 merge.  One exact residue test modulo g gates both signs (both can pass
 only when g divides a), and a sign that passes merges by plain integer

@@ -343,7 +343,6 @@ def _odd_cycle(g: SkipGraph, order: list[int], v: int, u: int) -> OddCycleCertif
         else:
             path_u.append(parent(path_u[-1]))
     vertices = path_v + path_u[:-1][::-1]
-    assert len(vertices) % 2 == 1 and len(set(vertices)) == len(vertices)
     # the cycle closed at its least vertex, in the orientation first in walk order
     i0 = vertices.index(min(vertices))
     closed = vertices[i0:] + vertices[: i0 + 1]

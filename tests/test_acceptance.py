@@ -139,9 +139,9 @@ def test_criterion_01_long_row_fixtures():
         if kind == "cycle":
             assert sp.signed_sum == 0
             assert length % 2 == 1
-            assert walk.is_closed
+            assert walk.terms[-1] == walk.terms[0]
         else:
-            assert not walk.repeated_terms()
+            assert len(set(walk.terms)) == len(walk.terms)
     elapsed = time.time() - t0
     assert elapsed < 1.0, f"fixture suite took {elapsed:.2f}s"
     report(1, f"all {len(KNOWN_LONG_ROWS)} stored rows realize correctly ({elapsed:.2f}s)")
@@ -173,7 +173,7 @@ def test_criterion_02_eleven_cycle():
     assert verdict.valid
     assert verdict.witness_start == 360
     walk = realize(sp, 360)
-    assert not walk.parity_violations and walk.is_closed
+    assert not walk.parity_violations and walk.terms[-1] == walk.terms[0]
     assert sp.skips.count(max(ELEVEN_CYCLE_SET)) == 2
     elapsed = time.time() - t0
     assert elapsed < 1.0

@@ -387,6 +387,35 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             '"cycle": {"pattern": "[+2 +1 -3]", "start": 0}}',
         ),
         _row(
+            ["classify", "-s", "1,2,3,4"],
+            1,
+            "forces discrepancy two: yes (rule size4-bullet-1; a=2, b=1, c=3; cycle [+2 +1 -3] at 0)",
+            '{"forces": true, "rule": "size4-bullet-1", "labeling": {"a": 2, "b": 1, "c": 3}, '
+            '"cycle": {"pattern": "[+2 +1 -3]", "start": 0}, "satisfied_bullets": ["size4-bullet-1"]}',
+        ),
+        _row(
+            ["classify", "-s", "1,2,7,10"],
+            1,
+            "forces discrepancy two: yes (rule size4-bullet-2; a=10, b=2, x=1, y=7; cycle [+2 -10 +2 +7 -1] at 48)",
+            '{"forces": true, "rule": "size4-bullet-2", "labeling": {"a": 10, "b": 2, "x": 1, "y": 7}, '
+            '"cycle": {"pattern": "[+2 -10 +2 +7 -1]", "start": 48}, "satisfied_bullets": ["size4-bullet-2"]}',
+        ),
+        # at three times its reduced scale
+        _row(
+            ["classify", "-s", "3,9,12,27"],
+            1,
+            "forces discrepancy two: yes (rule size4-bullet-3; a=12, x=9, y=27, z=3; cycle [+12 +9 -27 +9 -3] at 168)",
+            '{"forces": true, "rule": "size4-bullet-3", "labeling": {"a": 12, "x": 9, "y": 27, "z": 3}, '
+            '"cycle": {"pattern": "[+12 +9 -27 +9 -3]", "start": 168}, "satisfied_bullets": ["size4-bullet-3"]}',
+        ),
+        _row(
+            ["classify", "-s", "1,3,5,8"],
+            1,
+            "forces discrepancy two: yes (rule size4-bullet-4; a=8, x=3, y=5, z=1; cycle [+8 +1 -3 +1 -5 +1 -3] at 48)",
+            '{"forces": true, "rule": "size4-bullet-4", "labeling": {"a": 8, "x": 3, "y": 5, "z": 1}, '
+            '"cycle": {"pattern": "[+8 +1 -3 +1 -5 +1 -3]", "start": 48}, "satisfied_bullets": ["size4-bullet-4"]}',
+        ),
+        _row(
             ["classify", "-s", "4,9"],
             0,
             "forces discrepancy two: no",
@@ -418,6 +447,13 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             0,
             "realizable at 8 via [+1 -3 -2]",
             '{"status": "realizable", "start": 8, "signed": "[+1 -3 -2]"}',
+        ),
+        # no signing of [1 1 1] is strict, so the first weak one is reported
+        _row(
+            ["check", "-p", "[1 1 1]"],
+            0,
+            "weakly-realizable at 0 via [+1 -1 +1]",
+            '{"status": "weakly-realizable", "start": 0, "signed": "[+1 -1 +1]"}',
         ),
         _row(
             ["check", "-p", "[+4 +3 -1 +2]"],
@@ -451,6 +487,15 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             "3 path 3 1 [1 5 1] (lower bound)",
             '{"kind": "path", "length": 3, "start": 1, "pattern": "[1 5 1]", '
             '"signed": "[-1 +5 -1]", "lower_bound": true}',
+        ),
+        _row(
+            ["longest", "-s", "1,3,4,6,10,59", "--kind", "cycle", "--max-len", "25"],
+            0,
+            "6 cycle 25 6840 [6 3 1 4 6 3 1 10 3 1 4 6 3 1 4 10 1 3 6 3 1 4 3 59 4]",
+            '{"kind": "odd-cycle", "length": 25, "start": 6840, '
+            '"pattern": "[6 3 1 4 6 3 1 10 3 1 4 6 3 1 4 10 1 3 6 3 1 4 3 59 4]", '
+            '"signed": "[+6 +3 -1 +4 +6 +3 -1 +10 +3 -1 +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +3 -59 -4]", '
+            '"lower_bound": false}',
         ),
         _row(["longest", "-s", "1,2", "--kind", "cycle"], 0, "none", '{"result": null}'),
         _row(

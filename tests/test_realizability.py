@@ -162,7 +162,7 @@ def test_cycle_witness_reproduces_cycle():
     verdict = valid_odd_cycle(sp("[+8 +1 -3 +1 -5 +1 -3]"))
     assert verdict.valid and verdict.witness_start == 48
     walk = realize(sp("[+8 +1 -3 +1 -5 +1 -3]"), verdict.witness_start)
-    assert not walk.parity_violations and walk.is_closed
+    assert not walk.parity_violations and walk.terms[-1] == walk.terms[0]
 
 
 # --- the two spans of a cycle ---
