@@ -25,7 +25,8 @@ is monotone, so the least label of a component is its least vertex and
 both algorithms still agree.  The union-find reads the larger skips'
 edges, made per skip in chunks, for two rounds only: an edge whose ends
 share a root shares it for good, so later rounds read just the few
-edges that still join two roots.  No graph is materialized either way,
+edges that still join two roots.  Every round ends with every node on
+its root.  No graph is materialized either way,
 and either way a ``Coloring`` holds the BFS's sign bytes.  Only the
 union-find, ``verify_discrepancy`` and ``Coloring.values`` import numpy,
 so the cut also decides whether ``color`` and ``cycle`` load it.
@@ -162,11 +163,13 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     Ends that share a root share it for good, at a fixed relative parity,
     so a settled edge never hooks again: the second round keeps only the
     edges that still join two roots, a few percent of them, and later
-    rounds read just those.  Such a round jumps only the roots hooked since
-    the first round and the nodes of its edges, and one pass at the end
-    puts every node on its root.  A settled edge of equal parities closes
-    an odd cycle and is noted as it is seen; ``first`` is the least final
-    root among the noted edges.
+    rounds read just those.  Every round ends with every node on its root,
+    so one pointer step reads an end's root.  The first round jumps the
+    nodes in order; a later one jumps the roots it hooked, whose parents
+    are roots or among them, and then one pass steps every node onto its
+    root.  A settled edge of equal parities closes an odd cycle and is
+    noted as it is seen; ``first`` is the least final root among the
+    noted edges.
     """
     period = g.period
     if 2 * period >= 1 << 63:  # keys would overflow int64 before anything is allocated
@@ -191,10 +194,9 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     for lo in range(0, n, _CHUNK):  # parents precede children: earlier batches are flat
         _jump(key, slice(lo, lo + _CHUNK))
     empty = np.empty(0, dtype=dtype)  # so that a lone skip, with no edges, concatenates
-    hooked = empty  # the roots hooked since the first round
     batches = _edges(g, end)
     odd = [empty]
-    while True:
+    while True:  # every node is on its root
         kept_u, kept_w = [empty], [empty]
         for u, w in batches:
             ku, kw = _up(key, u), _up(key, w)
@@ -205,17 +207,11 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
         u, w = np.concatenate(kept_u), np.concatenate(kept_w)
         if not u.size:
             break
-        nu, nw = u >> 1, w >> 1
-        ku, kw = key[nu], key[nw]
-        hooked = np.concatenate([hooked, _hook(key, u, w)])
-        _jump(key, hooked)
-        key[nu] = _up(key, ku)  # the nodes onto their new roots
-        key[nw] = _up(key, kw)
-        batches = [(u, w)]
-    if hooked.size:  # every parent is now a root or points at one
+        _jump(key, _hook(key, u, w))  # each parent is now a root or points at one
         for lo in range(0, n, _CHUNK):
             part = key[lo : lo + _CHUNK]
             part[...] = _up(key, part)
+        batches = [(u, w)]
     odd = np.concatenate(odd)
     if odd.size:
         return int(live[(key[odd >> 1] >> 1).min()])

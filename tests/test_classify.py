@@ -138,7 +138,7 @@ def test_one_validation_per_verdict(monkeypatch):
 def test_predicted_cycles_validate_with_concrete_starts():
     rng = random.Random(23)
     seen_forcing = 0
-    while seen_forcing < 40:
+    for _ in range(1000):
         size = rng.choice((3, 4))
         values = rng.sample(range(1, 25), size)
         result = classify(values)
@@ -151,6 +151,10 @@ def test_predicted_cycles_validate_with_concrete_starts():
         assert set(result.predicted_cycle.skips) <= set(values)
         walk = realize(result.predicted_cycle, result.predicted_start)
         assert not walk.parity_violations and walk.terms[-1] == walk.terms[0]
+        if seen_forcing == 40:
+            break
+    else:
+        pytest.fail(f"{seen_forcing} of 40 forcing sets before the draws ran out")
 
 
 def test_classification_scaling_invariance():

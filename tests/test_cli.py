@@ -140,6 +140,12 @@ def test_realize_unsigned_needs_start(capsys):
     assert "--start" in err
 
 
+def test_realize_unrealizable_signed_needs_start(capsys):
+    code, out, err = run(capsys, "realize", "-p", "[+4 +3 -1 +2]")
+    assert (code, out) == (2, "")
+    assert err == "error: pattern is not weakly realizable; give --start explicitly"
+
+
 def test_longest_rows(capsys):
     code, out, _ = run(capsys, "longest", "-s", "1,3", "--kind", "path")
     assert code == 0

@@ -74,6 +74,24 @@ def test_infer_signs_rejects_non_multiple():
     assert err.value.index == 0
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Pattern(()), "pattern must contain at least one skip"),
+        (lambda: Pattern((0,)), "skips must be positive, got (0,)"),
+        (lambda: SignedPattern(()), "pattern must contain at least one step"),
+        (lambda: SignedPattern(((2, 1),)), "sign must be +1 or -1, got 2"),
+        (lambda: SignedPattern(((1, 0),)), "skips must be positive, got 0"),
+        (lambda: infer_signs(Pattern((1,)), -1), "start term must be nonnegative, got -1"),
+    ],
+    ids=["empty", "zero-skip", "signed-empty", "signed-bad-sign", "signed-zero-skip", "negative-start"],
+)
+def test_construction_errors(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_realize_path():
     walk = realize(parse_pattern("[-1 +3 -1]"), 1)
     assert walk.terms == (1, 0, 3, 2)
@@ -127,7 +145,7 @@ def test_repeat_flags_are_start_independent():
     from hapdisc.realizability import weakly_realizable
 
     checked = 0
-    while checked < 100:
+    for _ in range(1500):
         length = rng.randint(2, 6)
         steps = tuple(
             (rng.choice((1, -1)), rng.randint(1, 9)) for _ in range(length)
@@ -142,6 +160,10 @@ def test_repeat_flags_are_start_independent():
         w2 = realize(sp, verdict.witness_start + shift)
         assert not w2.parity_violations
         assert [t - w1.start for t in w1.terms] == [t - w2.start for t in w2.terms]
+        if checked == 100:
+            break
+    else:
+        pytest.fail(f"{checked} of 100 realizable patterns before the draws ran out")
 
 
 def test_bold_path_start_is_derivable():

@@ -246,7 +246,7 @@ def test_divisibility_plus_adjacent_parity_gives_short_span_parity():
     # every adjacent pair passes, the length-3 windows pass parity too
     rng = random.Random(777)
     confirmed = 0
-    while confirmed < 250:
+    for _ in range(8000):
         pattern = random_signed(rng, max_skip=10, max_len=7, min_len=3)
         if not all(check_subpath(pattern, k, k + 1).parity_ok for k in range(len(pattern) - 1)):
             continue
@@ -257,15 +257,23 @@ def test_divisibility_plus_adjacent_parity_gives_short_span_parity():
             continue
         confirmed += 1
         assert all(w.parity_ok for w in windows)
+        if confirmed == 250:
+            break
+    else:
+        pytest.fail(f"{confirmed} of 250 patterns passed both checks before the draws ran out")
 
 
 def test_weak_witness_is_least_nonnegative():
     rng = random.Random(8080)
     found = 0
-    while found < 150:
+    for _ in range(1000):
         pattern = random_signed(rng, max_skip=8, max_len=6)
         verdict = weakly_realizable(pattern)
         if verdict.status == FORBIDDEN:
             continue
         found += 1
         assert verdict.witness_start == least_walk_start(pattern)
+        if found == 150:
+            break
+    else:
+        pytest.fail(f"{found} of 150 realizable patterns before the draws ran out")

@@ -100,6 +100,9 @@ def test_witness_cycle_rejects_bad_witness():
         witness_cycle(ri, ESSWitness((0, 2), (1,)))
     with pytest.raises(ValueError):  # 1 + 3 == 2 + 2, but Y repeats index 1
         witness_cycle(ri, ESSWitness((0, 2), (1, 1)))
+    with pytest.raises(ValueError) as err:
+        witness_cycle(ri, ESSWitness((0, 5), (1,)))
+    assert str(err.value) == "witness indices out of range for n=3"
 
 
 def step_counts(ri, cycle: SignedPattern) -> Counter:

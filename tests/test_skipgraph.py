@@ -219,7 +219,7 @@ def test_verify_discrepancy_horizon_precondition():
 def test_proper_coloring_keeps_discrepancy_one_on_period_multiples():
     rng = random.Random(77)
     done = 0
-    while done < 15:
+    for _ in range(40):
         size = rng.randint(2, 4)
         skips = rng.sample(range(1, 11), size)
         g = build_graph(skips)
@@ -229,6 +229,10 @@ def test_proper_coloring_keeps_discrepancy_one_on_period_multiples():
         done += 1
         for blocks in (1, 3, 8):
             assert verify_discrepancy(coloring, skips, blocks * g.period) <= 1
+        if done == 15:
+            break
+    else:
+        pytest.fail(f"{done} of 15 colorable sets before the draws ran out")
 
 
 def test_coloring_line_round_trip():
@@ -361,6 +365,42 @@ def test_large_block_certificate_pinned(skips, first, pattern, start, bfs, monke
     cert = solve_block(g)
     assert format_pattern(cert.signed_pattern) == pattern
     assert cert.start == start
+
+
+@pytest.mark.parametrize(
+    "skips, period, rounds, first, pinned",
+    [
+        ((2, 3, 4, 18, 19, 61), 83448, 2, None, "9c96390721a2afc4"),
+        ((1, 2, 11, 12, 38, 46), 115368, 2, 2728, "[+12 +2 +11 -1 +12 +2 -38] at 2736"),
+        ((9, 14, 15, 18, 45, 53), 66780, 1, None, "30f2f8267714cb02"),
+    ],
+)
+def test_union_find_later_rounds_pinned(skips, period, rounds, first, pinned, monkeypatch):
+    # the first two blocks still hook in the round after the full second
+    # one, which reads only the edges that the second round kept; the
+    # third colors wrongly unless the roots hooked in the second round are
+    # jumped.  The pins were recorded from the BFS over the whole block
+    g = build_graph(skips)
+    assert g.period == period >= skipgraph._VECTOR_MIN_PERIOD
+    later = []  # the roots jumped in each round after the first
+    jump = skipgraph._jump
+
+    def counted(key, at):
+        if not isinstance(at, slice):
+            later.append(at)
+        jump(key, at)
+
+    monkeypatch.setattr(skipgraph, "_jump", counted)
+    decided = skipgraph._parity_union_find(g)
+    assert len(later) >= rounds
+    assert (decided if isinstance(decided, int) else None) == first
+    found = solve_block(g)
+    monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", g.period + 1)
+    assert _certificate_bytes(found) == _certificate_bytes(solve_block(g))
+    if isinstance(found, Coloring):
+        assert hashlib.sha256(found.line().encode()).hexdigest()[:16] == pinned
+    else:
+        assert f"{format_pattern(found.signed_pattern)} at {found.start}" == pinned
 
 
 def test_union_find_memory_stays_flat():
