@@ -25,7 +25,6 @@ _LAZY = {
     "SignInferenceError": "pattern",
     "SignedPattern": "pattern",
     "format_pattern": "pattern",
-    "infer_signs": "pattern",
     "parse_pattern": "pattern",
     "realize": "pattern",
     "CycleVerdict": "realizability",

@@ -39,7 +39,6 @@ from .pattern import (
     Realization,
     SignedPattern,
     format_pattern,
-    infer_signs,
     parse_pattern,
     realize,
 )
@@ -149,17 +148,20 @@ def _cmd_check(args) -> tuple[dict, str, int]:
 
 def _cmd_realize(args) -> tuple[dict, str, int]:
     p, start = parse_pattern(args.pattern), args.start
-    if isinstance(p, Pattern):
-        if start is None:
+    if start is None:
+        if isinstance(p, Pattern):
             raise ValueError("--start is required for unsigned patterns")
-        p = infer_signs(p, start)
-    elif start is None:
-        start = weakly_realizable(p).witness_start
-        if start is None:
-            raise ValueError("pattern is not weakly realizable; give --start explicitly")
+        verdict = weakly_realizable(p)
+        failure = verdict.failure
+        if failure is not None:
+            raise ValueError(
+                f"pattern is not weakly realizable ({failure.reason} fails on steps "
+                f"{failure.i}..{failure.j}); give --start explicitly"
+            )
+        start = verdict.witness_start
     walk = realize(p, start)
     payload = _walk_json(walk)
-    human = f"{format_pattern(p)} at {start}: terms {' '.join(map(str, walk.terms))}"
+    human = f"{format_pattern(walk.pattern)} at {start}: terms {' '.join(map(str, walk.terms))}"
     if walk.parity_violations:
         payload["parity_violations"] = list(walk.parity_violations)
         human += f" (parity violations at {payload['parity_violations']})"

@@ -2,10 +2,10 @@
 
 A pattern such as ``[2 1 3]`` records consecutive skip sizes along a walk
 in the skip graph; a signed pattern such as ``[+2 +1 -3]`` also fixes the
-direction of each step.  Signed patterns can be realized from a start
-term, producing the sequence of visited terms: a ``+a`` step must leave
-from an even multiple of ``a`` (the left end of an a-arc) and a ``-a``
-step from an odd multiple (the right end).
+direction of each step.  Either kind can be realized from a start term,
+producing the sequence of visited terms: a ``+a`` step must leave from an
+even multiple of ``a`` (the left end of an a-arc) and a ``-a`` step from
+an odd multiple (the right end), which also signs an unsigned step.
 """
 
 from __future__ import annotations
@@ -156,26 +156,6 @@ def _step_sign(t: int, a: int) -> int:
     return 1 if r == 0 else -1 if r == a else 0
 
 
-def infer_signs(p: Pattern, start: int) -> SignedPattern:
-    """Assign directions by walking from ``start``.
-
-    Each step goes up when the current term is an even multiple of the
-    next skip and down when it is an odd multiple; any term that is not a
-    multiple of the next skip is an error.
-    """
-    if start < 0:
-        raise ValueError(f"start term must be nonnegative, got {start}")
-    t = start
-    steps = []
-    for k, skip in enumerate(p.skips):
-        sign = _step_sign(t, skip)
-        if not sign:
-            raise SignInferenceError(k, t, skip)
-        steps.append((sign, skip))
-        t += sign * skip
-    return SignedPattern(tuple(steps))
-
-
 @dataclass(frozen=True)
 class Realization:
     """A signed pattern walked from a concrete start term: a record for
@@ -192,16 +172,32 @@ class Realization:
     parity_violations: tuple[int, ...]
 
 
-def realize(sp: SignedPattern, start: int) -> Realization:
-    """Walk ``sp`` from ``start``, recording terms and any violations."""
+def realize(p: AnyPattern, start: int) -> Realization:
+    """Walk ``p`` from ``start``, recording terms and any violations.
+
+    An unsigned step takes the sign ``_step_sign`` gives at its term, and
+    a term that is no multiple of its skip raises ``SignInferenceError``.
+    A signed step keeps its own sign, and a step whose sign differs from
+    that rule's, or that leaves a negative term, is a parity violation.
+    """
     if start < 0:
         raise ValueError(f"start term must be nonnegative, got {start}")
+    # an unsigned step offers sign 0 and is rewritten with the sign it takes
+    signed = isinstance(p, SignedPattern)
+    steps = p.steps if signed else [(0, skip) for skip in p.skips]
     t = start
     terms = [t]
     violations = []
-    for k, (sign, skip) in enumerate(sp.steps):
-        if t < 0 or _step_sign(t, skip) != sign:
+    for k, (sign, skip) in enumerate(steps):
+        implied = _step_sign(t, skip)
+        if not sign:
+            if not implied:
+                raise SignInferenceError(k, t, skip)
+            sign = implied
+            steps[k] = (sign, skip)
+        elif t < 0 or sign != implied:
             violations.append(k)
         t += sign * skip
         terms.append(t)
-    return Realization(sp, start, tuple(terms), tuple(violations))
+    walked = p if signed else SignedPattern(tuple(steps))
+    return Realization(walked, start, tuple(terms), tuple(violations))

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import pytest
 
 from hapdisc.classify import classify
-from hapdisc.pattern import Pattern, SignedPattern, infer_signs, parse_pattern, realize
+from hapdisc.pattern import Pattern, SignedPattern, parse_pattern, realize
 from hapdisc.realizability import (
     REALIZABLE,
     check_subpath,
@@ -133,7 +133,7 @@ def test_criterion_01_long_row_fixtures():
         assert isinstance(p, Pattern)
         assert len(set(p.skips)) == size
         assert len(p) == length
-        sp = infer_signs(p, start)
+        sp = realize(p, start).pattern
         walk = realize(sp, start)
         assert not walk.parity_violations, (text, walk.parity_violations)
         if kind == "cycle":
@@ -156,7 +156,7 @@ def test_stored_path_rows_extend_by_one_step():
         if kind != "path" or size < 4:
             continue
         p = parse_pattern(text)
-        longer = SignedPattern(((-1, 1),) + infer_signs(p, start).steps)
+        longer = SignedPattern(((-1, 1),) + realize(p, start).pattern.steps)
         verdict = strict_realizability(longer)
         assert verdict.status == REALIZABLE, text
         assert (len(longer), verdict.witness_start) == (length + 1, start + 1)

@@ -143,7 +143,7 @@ def test_realize_unsigned_needs_start(capsys):
 def test_realize_unrealizable_signed_needs_start(capsys):
     code, out, err = run(capsys, "realize", "-p", "[+4 +3 -1 +2]")
     assert (code, out) == (2, "")
-    assert err == "error: pattern is not weakly realizable; give --start explicitly"
+    assert err == "error: pattern is not weakly realizable (parity fails on steps 0..3); give --start explicitly"
 
 
 def test_longest_rows(capsys):

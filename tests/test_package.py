@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "ess_solve",
     "find_odd_cycle",
     "format_pattern",
-    "infer_signs",
     "longest_odd_cycle",
     "longest_path",
     "parse_pattern",

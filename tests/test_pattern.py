@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapdisc.pattern import (
     Pattern,
@@ -9,7 +11,6 @@ from hapdisc.pattern import (
     SignedPattern,
     SignInferenceError,
     format_pattern,
-    infer_signs,
     parse_pattern,
     realize,
 )
@@ -59,18 +60,18 @@ def test_format_canonicalizes():
 
 
 def test_infer_signs_three_cycle():
-    sp = infer_signs(Pattern((2, 1, 3)), 0)
+    sp = realize(Pattern((2, 1, 3)), 0).pattern
     assert sp.steps == ((1, 2), (1, 1), (-1, 3))
 
 
 def test_infer_signs_seven_cycle():
-    sp = infer_signs(Pattern((8, 1, 3, 1, 5, 1, 3)), 48)
+    sp = realize(Pattern((8, 1, 3, 1, 5, 1, 3)), 48).pattern
     assert sp.signs == (1, 1, -1, 1, -1, 1, -1)
 
 
 def test_infer_signs_rejects_non_multiple():
     with pytest.raises(SignInferenceError) as err:
-        infer_signs(Pattern((5,)), 7)
+        realize(Pattern((5,)), 7)
     assert err.value.index == 0
 
 
@@ -82,7 +83,7 @@ def test_infer_signs_rejects_non_multiple():
         (lambda: SignedPattern(()), "pattern must contain at least one step"),
         (lambda: SignedPattern(((2, 1),)), "sign must be +1 or -1, got 2"),
         (lambda: SignedPattern(((1, 0),)), "skips must be positive, got 0"),
-        (lambda: infer_signs(Pattern((1,)), -1), "start term must be nonnegative, got -1"),
+        (lambda: realize(Pattern((1,)), -1), "start term must be nonnegative, got -1"),
     ],
     ids=["empty", "zero-skip", "signed-empty", "signed-bad-sign", "signed-zero-skip", "negative-start"],
 )
@@ -112,8 +113,15 @@ def test_realize_flags_repeated_term_of_retraced_arc():
 
 
 def test_realize_flags_parity_violation():
+    # a violating step still goes the way its sign says
     walk = realize(parse_pattern("[+2 +2]"), 0)
+    assert walk.terms == (0, 2, 4)
     assert walk.parity_violations == (1,)
+    # -1 is an odd multiple of 1, but no step may leave a negative term;
+    # a walk only gets there through an earlier violation
+    walk = realize(parse_pattern("[-1 -1 -1]"), 1)
+    assert walk.terms == (1, 0, -1, -2)
+    assert walk.parity_violations == (1, 2)
 
 
 def test_realize_rejects_negative_start():
@@ -121,21 +129,47 @@ def test_realize_rejects_negative_start():
         realize(parse_pattern("[+1]"), -1)
 
 
-def test_infer_then_realize_never_violates_parity():
-    # walks generated forward in the graph always re-infer cleanly
-    rng = random.Random(4)
-    for _ in range(500):
-        start = rng.randrange(0, 40)
-        t = start
-        skips = []
-        for _ in range(rng.randint(1, 7)):
-            s = rng.choice([s for s in range(1, 9) if t % s == 0])
-            skips.append(s)
-            t += s if (t // s) % 2 == 0 else -s
-        sp = infer_signs(Pattern(tuple(skips)), start)
-        walk = realize(sp, start)
-        assert not walk.parity_violations
-        assert walk_attempt(sp, start)
+@st.composite
+def forward_walks(draw):
+    # each skip divides the term it leaves, so every step takes a sign
+    start = t = draw(st.integers(0, 39))
+    skips = []
+    for _ in range(draw(st.integers(1, 7))):
+        s = draw(st.sampled_from([s for s in range(1, 9) if t % s == 0]))
+        skips.append(s)
+        t += s if (t // s) % 2 == 0 else -s
+    return Pattern(tuple(skips)), start
+
+
+# unsigned patterns with no regard to their start, most of which stop at a
+# term that is no multiple of its next skip
+free_walks = st.tuples(
+    st.lists(st.integers(1, 8), min_size=1, max_size=7).map(lambda skips: Pattern(tuple(skips))),
+    st.integers(0, 39),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(forward_walks(), free_walks))
+def test_infer_then_realize_never_violates_parity(case):
+    # an unsigned walk takes its signs or stops at the first non-multiple,
+    # and walking the signs it took as a signed pattern gives it back
+    p, start = case
+    t = start
+    for k, skip in enumerate(p.skips):
+        if t % skip:
+            with pytest.raises(SignInferenceError) as err:
+                realize(p, start)
+            assert err.value.index == k
+            return
+        t += skip if (t // skip) % 2 == 0 else -skip
+    walk = realize(p, start)
+    sp = walk.pattern
+    assert sp.unsigned() == p and walk.terms[-1] == t
+    again = realize(sp, start)
+    assert again == walk
+    assert not again.parity_violations
+    assert walk_attempt(sp, start)
 
 
 def test_repeat_flags_are_start_independent():

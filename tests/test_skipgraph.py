@@ -12,6 +12,7 @@ from hapdisc.pattern import format_pattern, realize
 from hapdisc.realizability import valid_odd_cycle
 from hapdisc.skipgraph import (
     Coloring,
+    OddCycleCertificate,
     PeriodCapExceeded,
     build_graph,
     find_odd_cycle,
@@ -65,37 +66,37 @@ def test_build_graph_cap():
 
 def test_two_color_small_sets():
     g13 = build_graph([1, 3])
-    coloring = two_color(g13)
-    assert coloring is not None
+    coloring = solve_block(g13)
+    assert isinstance(coloring, Coloring)
     assert coloring_is_proper(coloring, g13)
 
-    assert two_color(build_graph([1, 2, 3])) is None
+    assert isinstance(solve_block(build_graph([1, 2, 3])), OddCycleCertificate)
 
     # 1+3=4 but 1 and 3 share the lowest 2-adic class, so no odd cycle
     g134 = build_graph([1, 3, 4])
-    coloring = two_color(g134)
-    assert coloring is not None
+    coloring = solve_block(g134)
+    assert isinstance(coloring, Coloring)
     assert coloring_is_proper(coloring, g134)
 
 
 def test_coloring_extends_periodically():
     g = build_graph([2, 3, 4])
-    coloring = two_color(g)
-    assert coloring is not None
+    coloring = solve_block(g)
+    assert isinstance(coloring, Coloring)
     for v in (0, 1, 5, 23):
         assert coloring[v] == coloring[v + g.period] == coloring[v + 10 * g.period]
 
 
 def test_find_odd_cycle_triangle():
-    cert = find_odd_cycle(build_graph([1, 2, 3]))
-    assert cert is not None
+    cert = solve_block(build_graph([1, 2, 3]))
+    assert isinstance(cert, OddCycleCertificate)
     assert format_pattern(cert.signed_pattern) == "[+2 +1 -3]"
     assert cert.start == 0
 
 
 def test_find_odd_cycle_seven():
-    cert = find_odd_cycle(build_graph([1, 3, 5, 8]))
-    assert cert is not None
+    cert = solve_block(build_graph([1, 3, 5, 8]))
+    assert isinstance(cert, OddCycleCertificate)
     assert len(cert.signed_pattern) == 7
     assert cert.start == 48
     assert valid_odd_cycle(cert.signed_pattern).valid
@@ -112,14 +113,14 @@ def test_find_odd_cycle_seven():
 )
 def test_find_odd_cycle_pinned_certificates(skips, pattern, start):
     # long tree paths on both sides of the conflict edge
-    cert = find_odd_cycle(build_graph(skips))
-    assert cert is not None
+    cert = solve_block(build_graph(skips))
+    assert isinstance(cert, OddCycleCertificate)
     assert format_pattern(cert.signed_pattern) == pattern
     assert cert.start == start
 
 
 def test_find_odd_cycle_none_for_two_skips():
-    assert find_odd_cycle(build_graph([1, 3])) is None
+    assert isinstance(solve_block(build_graph([1, 3])), Coloring)
 
 
 def test_exactly_one_of_color_and_cycle_succeeds():
@@ -148,7 +149,7 @@ def test_exactly_one_of_color_and_cycle_succeeds():
 
 
 def test_certificate_start_realizes_cycle():
-    cert = find_odd_cycle(build_graph([1, 2, 3]))
+    cert = solve_block(build_graph([1, 2, 3]))
     walk = realize(cert.signed_pattern, cert.start)
     assert not walk.parity_violations
     assert walk.terms[-1] == walk.terms[0]
@@ -197,7 +198,7 @@ def test_verify_discrepancy_monotone():
 
 def test_verify_discrepancy_two_color_output():
     g = build_graph([2, 3, 4])
-    coloring = two_color(g)
+    coloring = solve_block(g)
     assert verify_discrepancy(coloring, [2, 3, 4], 10 * g.period) == 1
 
 
@@ -223,8 +224,8 @@ def test_proper_coloring_keeps_discrepancy_one_on_period_multiples():
         size = rng.randint(2, 4)
         skips = rng.sample(range(1, 11), size)
         g = build_graph(skips)
-        coloring = two_color(g)
-        if coloring is None:
+        coloring = solve_block(g)
+        if not isinstance(coloring, Coloring):
             continue
         done += 1
         for blocks in (1, 3, 8):
@@ -237,7 +238,7 @@ def test_proper_coloring_keeps_discrepancy_one_on_period_multiples():
 
 def test_coloring_line_round_trip():
     g = build_graph([1, 3])
-    coloring = two_color(g)
+    coloring = solve_block(g)
     tokens = coloring.line().split()
     assert len(tokens) == g.period
     rebuilt = Coloring.from_values([1 if t == "+1" else -1 for t in tokens])
@@ -356,12 +357,14 @@ def test_large_block_coloring_pinned(skips, digest, bfs, monkeypatch):
 )
 def test_large_block_certificate_pinned(skips, first, pattern, start, bfs, monkeypatch):
     # recorded from the BFS over the whole block; the union-find starts the
-    # BFS at ``first``, the least vertex of the first odd component
+    # BFS at ``first``, the least vertex of the first odd component, and the
+    # "-bfs" case runs no union-find at all
     g = build_graph(skips)
     assert g.period >= skipgraph._VECTOR_MIN_PERIOD
-    assert skipgraph._parity_union_find(g) == first
     if bfs:
         monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", g.period + 1)
+    else:
+        assert skipgraph._parity_union_find(g) == first
     cert = solve_block(g)
     assert format_pattern(cert.signed_pattern) == pattern
     assert cert.start == start
