@@ -20,18 +20,25 @@ ints, and each skip a has one cached step row per modulus (``_step_row``): g =
 gcd(modulus, 2a), whether g divides a, and the step and inverse of the
 merge.  One exact residue test modulo g gates both signs (both can pass
 only when g divides a), and a sign that passes merges by plain integer
-arithmetic, as in ``realizability._signings``.  Once 2a divides the modulus, as it does
-for every skip once the modulus reaches the period 2 * lcm(skips), the
-merge is the identity.  It runs none of the window rules, which can only
-cut what these checks cut already (see ``_search``).  Every surviving node is therefore a
-realizable path; cycle candidates additionally need an odd length and a
-zero signed sum.  Among maximum-length candidates the result is the one
-with the least witness start, then the first in walk order
-(``pattern._walk_order``: signs with + before -, then skips).
+arithmetic, as in ``realizability._signings``.  Once the modulus reaches
+the period 2 * lcm(skips), 2a divides it for every skip, the start is one
+residue and every merge is the identity, so the search goes on as a walk
+over concrete vertices v = start + sum: d = gcd(v, period) looks up the
+steps v takes, +a where 2a divides d and -a where a does but 2a does not,
+in a table built per search.  It runs none of the window rules, which can
+only cut what these checks cut already (see ``_search``).  Every surviving
+node is therefore a realizable path; cycle candidates additionally need an
+odd length and a zero signed sum.  Among maximum-length candidates the
+result is the one with the least witness start, then the first in walk
+order (``pattern._walk_order``: signs with + before -, then skips).  The
+result is flagged as a lower bound whenever a prune that depends on the
+cap fires: a node at the cap, or a cycle branch too far from its start to
+close within it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -165,6 +172,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     max_skip = skip_list[-1]
+    period = 2 * math.lcm(*skip_list)
 
     best: tuple | None = None
     best_len = 0
@@ -172,8 +180,12 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
     steps: list[tuple[int, int]] = []
     seen = {0}
     # per modulus, each skip a with its step row (``_step_row``), the
-    # modulus its merge leaves and -a mod g (moduli divide 2 * lcm(skips))
+    # modulus its merge leaves and -a mod g (moduli divide the period)
     gates: dict[int, tuple[tuple[int, ...], ...]] = {}
+    # per gcd(v, period), the steps a concrete vertex v takes, each with its
+    # signed skip: +a when 2a divides v, -a when v is an odd multiple of a
+    moves: dict[int, tuple[tuple[tuple[int, int], int], ...]] = {}
+    gcd = math.gcd
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
         # called only when length >= best_len, so only the tie-break is left
@@ -227,6 +239,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                     if not (cycles and new_sum == 0 and depth >= 2 and depth % 2 == 0):
                         continue
                 elif cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
+                    truncated = True  # the one cycle prune that depends on the cap
                     continue
                 merged = residue  # the step row's merge is the identity when step == 1
                 if step > 1:
@@ -239,9 +252,47 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
                 seen.add(new_sum)
                 if not cycles and depth + 1 >= best_len:
                     consider(depth + 1, merged, None)
-                recurse(new_sum, merged, child, depth + 1)
+                if child == period:
+                    walk(merged, new_sum, depth + 1)
+                else:
+                    recurse(new_sum, merged, child, depth + 1)
                 seen.discard(new_sum)
                 steps.pop()
+
+    def walk(start: int, base: int, depth: int) -> None:
+        # The start is one residue modulo the period, so the node stands on
+        # the concrete vertex start + base and every merge is the identity:
+        # ``recurse`` with its residue gate replaced by one table lookup.
+        nonlocal truncated
+        if depth == max_len:
+            truncated = True
+            return
+        d = gcd(start + base, period)
+        out = moves.get(d)
+        if out is None:
+            out = moves[d] = tuple(
+                ((1, a), a) if d % (2 * a) == 0 else ((-1, a), -a) for a in skip_list if d % a == 0
+            )
+        reach = (max_len - depth - 1) * max_skip
+        for move, delta in out:
+            new_sum = base + delta
+            if new_sum in seen:
+                if cycles and new_sum == 0 and depth >= 2 and depth % 2 == 0 and depth + 1 >= best_len:
+                    consider(depth + 1, start, move)
+                continue
+            if cycles:
+                if new_sum < 0:
+                    continue
+                if new_sum > reach:
+                    truncated = True
+                    continue
+            steps.append(move)
+            seen.add(new_sum)
+            if not cycles and depth + 1 >= best_len:
+                consider(depth + 1, start, None)
+            walk(start, new_sum, depth + 1)
+            seen.discard(new_sum)
+            steps.pop()
 
     recurse(0, 0, 1, 0)
     if best is None:

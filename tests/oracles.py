@@ -42,6 +42,51 @@ def walk_exists(sp: SignedPattern) -> bool:
     return least_walk_start(sp) is not None
 
 
+def longest_block_walk(
+    skips: list[int], max_len: int, cycles: bool
+) -> tuple[int, int, tuple[tuple[int, int], ...]] | None:
+    """The search's row by brute force over one block [0, 2 * lcm(skips)):
+    every walk of 1 to ``max_len`` steps with no repeated term from every
+    vertex, or with ``cycles`` every closed walk of odd length >= 3 from
+    its least vertex, ranked as the search ranks them: longest, then least
+    start, then signs (+ first) and then skips, step by step.  A walk's
+    start is the vertex it leaves from; the least one its steps walk from
+    ranks first.  Returns (length, start, steps) of the first row, or None
+    when there is none."""
+    period = 2 * math.lcm(*skips)
+    best = None
+    steps: list[tuple[int, int]] = []
+
+    def offer(start: int) -> None:
+        nonlocal best
+        key = (-len(steps), start, tuple(sign < 0 for sign, _ in steps), tuple(a for _, a in steps))
+        if best is None or key < best[0]:
+            best = key, (len(steps), start, tuple(steps))
+
+    def extend(start: int, t: int, terms: set[int]) -> None:
+        if len(steps) == max_len:
+            return
+        for a in skips:
+            # up from an even multiple of a, down from an odd one
+            r = t % (2 * a)
+            if r not in (0, a):
+                continue
+            sign = 1 if r == 0 else -1
+            u = t + sign * a
+            steps.append((sign, a))
+            if cycles and u == start and len(steps) >= 3 and len(steps) % 2:
+                offer(start)
+            if u not in terms and not (cycles and u < start):
+                if not cycles:
+                    offer(start)
+                extend(start, u, terms | {u})
+            steps.pop()
+
+    for start in range(period):
+        extend(start, start, {start})
+    return None if best is None else best[1]
+
+
 def span_walk_exists(first: tuple[int, int], inner: int, last: tuple[int, int]) -> bool:
     """Whether two (sign, skip) steps with signed sum ``inner`` between
     them can both leave from the multiple their signs require: scan every

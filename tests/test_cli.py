@@ -497,11 +497,11 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
         _row(
             ["longest", "-s", "1,3,4,6,10,59", "--kind", "cycle", "--max-len", "25"],
             0,
-            "6 cycle 25 6840 [6 3 1 4 6 3 1 10 3 1 4 6 3 1 4 10 1 3 6 3 1 4 3 59 4]",
+            "6 cycle 25 6840 [6 3 1 4 6 3 1 10 3 1 4 6 3 1 4 10 1 3 6 3 1 4 3 59 4] (lower bound)",
             '{"kind": "odd-cycle", "length": 25, "start": 6840, '
             '"pattern": "[6 3 1 4 6 3 1 10 3 1 4 6 3 1 4 10 1 3 6 3 1 4 3 59 4]", '
             '"signed": "[+6 +3 -1 +4 +6 +3 -1 +10 +3 -1 +4 +6 +3 -1 -4 +10 +1 -3 +6 +3 -1 +4 +3 -59 -4]", '
-            '"lower_bound": false}',
+            '"lower_bound": true}',
         ),
         _row(["longest", "-s", "1,2", "--kind", "cycle"], 0, "none", '{"result": null}'),
         _row(

@@ -39,7 +39,7 @@ from hapdisc.realizability import (
     weakly_realizable,
 )
 from hapdisc.reduction import ESSInstance, ess_solve
-from hapdisc.search import longest_odd_cycle
+from hapdisc.search import longest_odd_cycle, longest_path
 from hapdisc.skipgraph import (
     Coloring,
     OddCycleCertificate,
@@ -53,6 +53,7 @@ from oracles import (
     discrepancy_scan,
     ess_first_witness,
     least_walk_start,
+    longest_block_walk,
     paper_conditions,
     sign_free_span_failure,
     span_walk_exists,
@@ -430,6 +431,30 @@ def test_classify_certificate_at_any_scale(skips, d):
     assert terms[-1] == terms[0] and _distinct(terms[:-1])
     assume(2 * math.lcm(*cycle.skips) <= 2**16)
     assert start == least_walk_start(cycle)
+
+
+# 2-4 skips up to 10: blocks of at most 2 * lcm(7, 8, 9, 10) = 5040 vertices
+search_sets = st.lists(st.integers(1, 10), min_size=2, max_size=4, unique=True)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(search_sets, st.integers(1, 12))
+@example([1, 3, 5, 8], 9)  # the 7-cycle row, flagged: the component has 20 vertices
+@example([1, 5, 7], 3)  # a path cut off by the cap
+@example([1, 2, 7, 9], 12)  # a 5-cycle whose distance prune fires at this cap
+@example([1, 2, 3, 5], 4)  # a 3-cycle at a cap that hides a 5-cycle
+def test_search_rows_match_block_walk_oracle(skips, max_len):
+    # every path and odd-cycle row is the brute-force row over one block
+    # at the same cap, and a row not flagged as a lower bound is the row
+    # at cap = period, which no walk in the block can reach
+    period = 2 * math.lcm(*skips)
+    for search, cycles in ((longest_path, False), (longest_odd_cycle, True)):
+        result = search(skips, max_len)
+        row = None if result is None else (result.length, result.start, result.signed.steps)
+        assert row == longest_block_walk(skips, max_len, cycles)
+        if result is not None and not result.lower_bound:
+            exact = search(skips, period)
+            assert row == (exact.length, exact.start, exact.signed.steps)
 
 
 # 4-sets built to meet one rule's zero-sum equation, with one label solved
