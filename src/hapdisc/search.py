@@ -16,28 +16,28 @@ start-term congruence, which decides weak realizability of the whole
 prefix, term freshness (``realizability._repeats_a_term``'s rule, applied
 step by step to the partial sums in ``seen``), and for cycles the distance
 still to cover back to the start.  A node carries its congruence as two
-ints, and each skip a has one cached step row per modulus (``_step_row``): g =
-gcd(modulus, 2a), whether g divides a, and the step and inverse of the
-merge.  One exact residue test modulo g gates both signs (both can pass
-only when g divides a), and a sign that passes merges by plain integer
-arithmetic, as in ``realizability._signings``.  Once the modulus reaches
-the period 2 * lcm(skips), 2a divides it for every skip, the start is one
-residue and every merge is the identity, so the search goes on as a walk
-over concrete vertices v = start + sum: d = gcd(v, period) looks up the
-steps v takes, +a where 2a divides d and -a where a does but 2a does not,
-in a table built per search.  It runs none of the window rules, which can
-only cut what these checks cut already (see ``_search``).  Every surviving
-node is therefore a realizable path; cycle candidates additionally need an
-odd length and a zero signed sum.  Among maximum-length candidates the
-result is the one with the least witness start, then the first in walk
-order (``pattern._walk_order``: signs with + before -, then skips).  The
-result is flagged as a lower bound whenever a prune that depends on the
-cap fires: a node at the cap, or a cycle branch too far from its start to
+ints (residue, modulus) and stands on the term w = residue + base.  Which
+steps merge depends on d = gcd(w, modulus) alone (``_moves``), so one gcd
+per node looks them up in a table built per search, keyed by (modulus, d),
+from step rows (``_step_row``) built once per modulus (``_gate``).  A step
+merges by plain integer arithmetic, as in ``realizability._signings``,
+only while its step 2a / g exceeds 1: from the period 2 * lcm(skips) on,
+the start is one residue, w is a concrete vertex and every merge is the
+identity.  It runs none of the window rules, which can only cut what these
+checks cut already (see ``_search``).  Every surviving node is therefore a
+realizable path; cycle candidates additionally need an odd length and a
+zero signed sum.  Among maximum-length candidates the result is the one
+with the least witness start, then the first in walk order
+(``pattern._walk_order``: signs with + before -, then skips).  The result
+is flagged as a lower bound whenever a prune that depends on the cap
+fires: a node at the cap, or a cycle branch too far from its start to
 close within it.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -167,24 +167,53 @@ def rule_scan(p: AnyPattern) -> RuleVerdict:
     return RuleVerdict(False)
 
 
+def _gate(modulus: int, skips: list[int]) -> tuple[tuple, ...]:
+    """Per skip a, ascending: g and ``both`` of its step row against
+    ``modulus`` (``_step_row``), then its +a and -a moves.  A move is
+    ((sign, a), signed skip, merge, child modulus), where merge is the
+    shift of its step congruence (0 or a) with the row's g, inv and step,
+    or None when step == 1 and the merge is the identity."""
+    rows = []
+    for a in skips:
+        g, both, step, inv = _step_row(modulus, a)
+        child = modulus * step
+        up = ((1, a), a, (0, g, inv, step) if step > 1 else None, child)
+        down = ((-1, a), -a, (a, g, inv, step) if step > 1 else None, child)
+        rows.append((g, both, up, down))
+    return tuple(rows)
+
+
+def _moves(d: int, gate: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """The moves, in walk order (skips ascending, + before -), of a search
+    node whose start congruence has the modulus of ``gate`` and whose term
+    w = residue + base has gcd(w, modulus) = d.  Each g divides the
+    modulus, so d shows whether g or g/2 divides w.  Step +a merges iff g
+    divides w, and -a iff g divides w - a: iff g divides w when g divides
+    a (``both``), and otherwise, a being g/2 mod g, iff g/2 does and g
+    does not."""
+    moves = []
+    for g, both, up, down in gate:
+        if d % g == 0:
+            moves += (up, down) if both else (up,)
+        elif not both and d % (g // 2) == 0:
+            moves.append(down)
+    return tuple(moves)
+
+
 def _search(skips: Iterable[int], max_len: int, cycles: bool):
     skip_list = sorted_skips(skips)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     max_skip = skip_list[-1]
-    period = 2 * math.lcm(*skip_list)
 
     best: tuple | None = None
     best_len = 0
     truncated = False
     steps: list[tuple[int, int]] = []
     seen = {0}
-    # per modulus, each skip a with its step row (``_step_row``), the
-    # modulus its merge leaves and -a mod g (moduli divide the period)
-    gates: dict[int, tuple[tuple[int, ...], ...]] = {}
-    # per gcd(v, period), the steps a concrete vertex v takes, each with its
-    # signed skip: +a when 2a divides v, -a when v is an odd multiple of a
-    moves: dict[int, tuple[tuple[tuple[int, int], int], ...]] = {}
+    # per modulus, one gate (so one step row per skip) and the moves per d
+    gate = functools.cache(lambda modulus: _gate(modulus, skip_list))
+    tables: dict[int, dict[int, tuple]] = collections.defaultdict(dict)
     gcd = math.gcd
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
@@ -196,105 +225,55 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
             best = key + (tuple(all_steps),)
             best_len = length
 
-    def recurse(base: int, residue: int, modulus: int, depth: int) -> None:
+    def node(base: int, residue: int, modulus: int, depth: int) -> None:
         nonlocal truncated
         if depth == max_len:
             truncated = True
             return
-        gate = gates.get(modulus)
-        if gate is None:
-            rows = [(a, _step_row(modulus, a)) for a in skip_list]
-            gate = gates[modulus] = tuple((a, *row, modulus * row[2], -a % row[0]) for a, row in rows)
-        offset = -base - residue
-        for a, g, both, step, inv, child, neg in gate:
-            # The step (sign, a) from ``base`` has residue -base (+a when
-            # down), so +a merges iff d == 0 and -a iff d == -a (mod g).
-            d = offset % g
-            if d == 0:
-                signs = (1, -1) if both else (1,)
-            elif d == neg:
-                signs = (-1,)
-            else:
-                continue
-            for sign in signs:
-                # No window rule runs here.  Every node is a strictly
-                # realizable prefix (one merge, no repeated term or arc),
-                # and the rules are necessary conditions for that.  On the
-                # step that closes a cycle, a window narrower than the
-                # cycle is a proper subpath; ODD-BLOCKS counts parities,
-                # so it holds on closed walks too.  The windows as wide as
-                # an odd cycle are ABA-div on three steps, which no
-                # zero-sum [a b a] fires (it needs b = 2a), and BACABAC on
-                # seven, which shapes no valid cycle (all 17 540 zero-sum
-                # signings with distinct skips up to 30 fail
-                # valid_odd_cycle).
-                new_sum = base + sign * a
-                if cycles and new_sum < 0:
-                    continue  # rotations from the minimum vertex suffice
-                closes = new_sum in seen
-                if closes:
-                    # ``seen`` keeps every term fresh, so no arc repeats:
-                    # the closing arc {base, 0} could only retrace the
-                    # first arc, and that needs depth 1.
-                    if not (cycles and new_sum == 0 and depth >= 2 and depth % 2 == 0):
-                        continue
-                elif cycles and abs(new_sum) > (max_len - depth - 1) * max_skip:
-                    truncated = True  # the one cycle prune that depends on the cap
-                    continue
-                merged = residue  # the step row's merge is the identity when step == 1
-                if step > 1:
-                    merged += modulus * ((offset if sign > 0 else offset + a) // g * inv % step)
-                if closes:
-                    if depth + 1 >= best_len:
-                        consider(depth + 1, merged, (sign, a))
-                    continue
-                steps.append((sign, a))
-                seen.add(new_sum)
-                if not cycles and depth + 1 >= best_len:
-                    consider(depth + 1, merged, None)
-                if child == period:
-                    walk(merged, new_sum, depth + 1)
-                else:
-                    recurse(new_sum, merged, child, depth + 1)
-                seen.discard(new_sum)
-                steps.pop()
-
-    def walk(start: int, base: int, depth: int) -> None:
-        # The start is one residue modulo the period, so the node stands on
-        # the concrete vertex start + base and every merge is the identity:
-        # ``recurse`` with its residue gate replaced by one table lookup.
-        nonlocal truncated
-        if depth == max_len:
-            truncated = True
-            return
-        d = gcd(start + base, period)
-        out = moves.get(d)
+        term = residue + base
+        d = gcd(term, modulus)
+        out = tables[modulus].get(d)
         if out is None:
-            out = moves[d] = tuple(
-                ((1, a), a) if d % (2 * a) == 0 else ((-1, a), -a) for a in skip_list if d % a == 0
-            )
+            out = tables[modulus][d] = _moves(d, gate(modulus))
         reach = (max_len - depth - 1) * max_skip
-        for move, delta in out:
+        for move, delta, merge, child in out:
+            # No window rule runs here.  Every node is a strictly
+            # realizable prefix (one merge, no repeated term or arc), and
+            # the rules are necessary conditions for that.  On the step
+            # that closes a cycle, a window narrower than the cycle is a
+            # proper subpath; ODD-BLOCKS counts parities, so it holds on
+            # closed walks too.  The windows as wide as an odd cycle are
+            # ABA-div on three steps, which no zero-sum [a b a] fires (it
+            # needs b = 2a), and BACABAC on seven, which shapes no valid
+            # cycle (all 17 540 zero-sum signings with distinct skips up
+            # to 30 fail valid_odd_cycle).
             new_sum = base + delta
+            merged = residue
+            if merge:
+                shift, g, inv, step = merge
+                merged += modulus * ((shift - term) // g * inv % step)
             if new_sum in seen:
+                # ``seen`` keeps every term fresh, so no arc repeats: the
+                # closing arc {base, 0} could only retrace the first arc,
+                # and that needs depth 1.
                 if cycles and new_sum == 0 and depth >= 2 and depth % 2 == 0 and depth + 1 >= best_len:
-                    consider(depth + 1, start, move)
+                    consider(depth + 1, merged, move)
                 continue
             if cycles:
                 if new_sum < 0:
-                    continue
+                    continue  # rotations from the minimum vertex suffice
                 if new_sum > reach:
-                    truncated = True
+                    truncated = True  # the one cycle prune that depends on the cap
                     continue
             steps.append(move)
             seen.add(new_sum)
             if not cycles and depth + 1 >= best_len:
-                consider(depth + 1, start, None)
-            walk(start, new_sum, depth + 1)
+                consider(depth + 1, merged, None)
+            node(new_sum, merged, child, depth + 1)
             seen.discard(new_sum)
             steps.pop()
 
-    recurse(0, 0, 1, 0)
+    node(0, 0, 1, 0)
     if best is None:
         return None, truncated
     neg_len, start, _, _, found = best

@@ -16,6 +16,7 @@ from hapdisc.realizability import (
 )
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
 from oracles import crt_merge, step_congruence
+from test_acceptance import KNOWN_LONG_ROWS
 
 
 FIRES = [
@@ -260,6 +261,15 @@ def test_cycle_cap_below_a_longer_cycle_flags_lower_bound():
     assert capped.lower_bound
 
 
+def test_stored_six_set_cycle_row_is_the_search_row():
+    # at cap 47 the search returns the stored 47-cycle of {1,3,4,6,13,121}
+    # itself; the cap cut branches, so the row reads as a lower bound
+    ((_, _, length, start, text),) = [row for row in KNOWN_LONG_ROWS if row[:2] == (6, "cycle")]
+    result = longest_odd_cycle((1, 3, 4, 6, 13, 121), length)
+    assert (result.length, result.start, format_pattern(result.pattern)) == (length, start, text)
+    assert result.lower_bound
+
+
 def _four_set_sample():
     rng = random.Random(3)
     sets = [s for s in combinations(range(1, 13), 4) if math.gcd(*s) == 1]
@@ -334,6 +344,64 @@ def test_search_merges_only_surviving_steps(monkeypatch):
                                 k = diff // g * inv % step
                                 assert merged == (residue + modulus * k, modulus * step)
     assert checked
+
+
+def test_search_gate_admits_exactly_the_merging_steps(monkeypatch):
+    # every (modulus, d) entry the DFS builds lists, in walk order, exactly
+    # the steps whose step congruence the reference merge (oracles.crt_merge)
+    # merges from a term w with gcd(w, modulus) = d, each with that merge;
+    # entries are checked as they are built, so a gate that admits too
+    # much fails before its search blows up
+    gate_of, moves_of = search._gate, search._moves
+    moduli = {}
+    keys = set()
+    rng = random.Random(16)
+    downs = {True: 0, False: 0}
+
+    def recorded_gate(modulus, skips):
+        gate = gate_of(modulus, skips)
+        moduli[gate] = modulus, skips
+        return gate
+
+    def checked_moves(d, gate):
+        (modulus, skips), moves = moduli[gate], moves_of(d, gate)
+        assert (modulus, d) not in keys
+        keys.add((modulus, d))
+        order = [move for move, *_ in moves]
+        assert order == sorted(order, key=lambda move: (move[1], -move[0]))
+        residues = range(modulus) if modulus <= 8 else rng.sample(range(modulus), 8)
+        for residue, k in product(residues, (-3, -1, 1, 2, 5)):
+            w = d * k
+            if math.gcd(w, modulus) != d:
+                continue
+            merges = {}
+            for a, sign in product(skips, (1, -1)):
+                merged = crt_merge((residue, modulus), step_congruence(sign, a, w - residue))
+                if merged is not None:
+                    merges[sign, a] = merged
+            got = {}
+            for (sign, a), delta, merge, child in moves:
+                assert delta == sign * a
+                merged = residue
+                if merge:
+                    shift, g, inv, step = merge
+                    assert shift == (0 if sign > 0 else a)
+                    merged += modulus * ((shift - w) // g * inv % step)
+                got[sign, a] = merged, child
+                if sign < 0:
+                    downs[a % math.gcd(modulus, 2 * a) == 0] += 1
+            assert got == merges, (modulus, d, residue, w)
+        return moves
+
+    monkeypatch.setattr(search, "_gate", recorded_gate)
+    monkeypatch.setattr(search, "_moves", checked_moves)
+    for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37], [2, 3, 5, 7, 11, 13]):
+        for run in (lambda: longest_path(skips, 40), lambda: longest_odd_cycle(skips, 25)):
+            keys.clear()
+            run()
+            assert keys
+    # -a passes both when g divides a and when a is g/2 mod g
+    assert downs[True] and downs[False]
 
 
 def test_golden_digest():
