@@ -146,19 +146,18 @@ def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
     return None
 
 
-def _step_row(modulus: int, a: int) -> tuple[int, bool, int, int]:
-    """The step row ``(g, both, step, inv)`` of skip ``a`` against a start
-    congruence modulo ``modulus``: g = gcd(modulus, 2a), ``both`` whether
-    g divides a, step = 2a / g and inv = (modulus / g)^-1 mod step.  The
-    step congruence (c, 2a) merges into (residue, modulus) iff g divides
-    c - residue; the signs' c differ by a, which is 0 or g/2 mod g, so
-    both pass only when g divides a.  For 0 <= residue < modulus the least
-    common solution is residue + modulus * ((c - residue) / g * inv mod
-    step), modulo modulus * step: the identity when step == 1, i.e. when
-    2a divides the modulus."""
+def _step_row(modulus: int, a: int) -> tuple[int, int, int]:
+    """The step row ``(g, step, inv)`` of skip ``a`` against a start
+    congruence (residue, modulus): g = gcd(modulus, 2a), step = 2a / g and
+    inv = (modulus / g)^-1 mod step.  The step leaves the term w =
+    residue + offset with shift 0 for +a and a for -a (an even or an odd
+    multiple of a), and merges iff w = shift (mod g).  For 0 <= residue <
+    modulus the least common solution is residue + modulus * ((shift - w)
+    / g * inv mod step), modulo modulus * step: the identity when step ==
+    1, i.e. when 2a divides the modulus."""
     g = math.gcd(modulus, 2 * a)
     step = 2 * a // g
-    return g, a % g == 0, step, pow(modulus // g, -1, step)
+    return g, step, pow(modulus // g, -1, step)
 
 
 def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
@@ -187,7 +186,7 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     live: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     modulus = 1
     for a, offer in zip(skips, offers):
-        g, _, step, inv = _step_row(modulus, a)
+        g, step, inv = _step_row(modulus, a)
         advanced = []
         for signs, offset, residue in live:
             for sign in offer:

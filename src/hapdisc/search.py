@@ -16,12 +16,14 @@ start-term congruence, which decides weak realizability of the whole
 prefix, term freshness (``realizability._repeats_a_term``'s rule, applied
 step by step to the partial sums in ``seen``), and for cycles the distance
 still to cover back to the start.  A node carries its congruence as two
-ints (residue, modulus) and stands on the term w = residue + base.  Which
-steps merge depends on d = gcd(w, modulus) alone (``_moves``), so one gcd
-per node looks them up in a table built per search, keyed by (modulus, d),
-from step rows (``_step_row``) built once per modulus (``_gate``).  A step
-merges by plain integer arithmetic, as in ``realizability._signings``,
-only while its step 2a / g exceeds 1: from the period 2 * lcm(skips) on,
+ints (residue, modulus) and stands on the term w = residue + base.  One
+rule admits a step, as in ``realizability._signings``: it merges iff w is
+its shift (0 for +a, a for -a) mod g = gcd(modulus, 2a) (``_step_row``).
+As g divides the modulus, that holds iff d = gcd(w, modulus) is the shift
+mod g (``_moves``), so one gcd per node looks the steps up in a table
+built per search, keyed by (modulus, d), from the moves built once per
+modulus (``_gate``).  A step merges by plain integer arithmetic only
+while its step 2a / g exceeds 1: from the period 2 * lcm(skips) on,
 the start is one residue, w is a concrete vertex and every merge is the
 identity.  It runs none of the window rules, which can only cut what these
 checks cut already (see ``_search``).  Every surviving node is therefore a
@@ -168,39 +170,30 @@ def rule_scan(p: AnyPattern) -> RuleVerdict:
 
 
 def _gate(modulus: int, skips: list[int]) -> tuple[tuple, ...]:
-    """Per skip a, ascending: g and ``both`` of its step row against
-    ``modulus`` (``_step_row``), then its +a and -a moves.  A move is
+    """The moves of a start congruence modulo ``modulus``, in walk order
+    (skips ascending, + before -), each as (g, r, move): g of its step row
+    (``_step_row``) and r its shift (0 for +a, a for -a) mod g.  A move is
     ((sign, a), signed skip, merge, child modulus), where merge is the
-    shift of its step congruence (0 or a) with the row's g, inv and step,
-    or None when step == 1 and the merge is the identity."""
-    rows = []
+    shift with the row's g, inv and step, or None when step == 1 and the
+    merge is the identity."""
+    gate = []
     for a in skips:
-        g, both, step, inv = _step_row(modulus, a)
-        child = modulus * step
-        up = ((1, a), a, (0, g, inv, step) if step > 1 else None, child)
-        down = ((-1, a), -a, (a, g, inv, step) if step > 1 else None, child)
-        rows.append((g, both, up, down))
-    return tuple(rows)
+        g, step, inv = _step_row(modulus, a)
+        for sign, shift in ((1, 0), (-1, a)):
+            merge = (shift, g, inv, step) if step > 1 else None
+            gate.append((g, shift % g, ((sign, a), sign * a, merge, modulus * step)))
+    return tuple(gate)
 
 
 def _moves(d: int, gate: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    """The moves, in walk order (skips ascending, + before -), of a search
-    node whose start congruence has the modulus of ``gate`` and whose term
-    w = residue + base has gcd(w, modulus) = d.  Each g divides the
-    modulus, so d shows whether g or g/2 divides w.  Step +a merges iff g
-    divides w, and -a iff g divides w - a: iff g divides w when g divides
-    a (``both``), and otherwise, a being g/2 mod g, iff g/2 does and g
-    does not."""
-    moves = []
-    for g, both, up, down in gate:
-        if d % g == 0:
-            moves += (up, down) if both else (up,)
-        elif not both and d % (g // 2) == 0:
-            moves.append(down)
-    return tuple(moves)
+    """The moves of ``gate`` that merge at a term w with gcd(w, modulus) =
+    d: those with w = r (mod g).  As g divides 2a, r is 0 or g/2; as g
+    divides the modulus, g divides w iff it divides d, and so does g/2,
+    so w = r (mod g) iff d = r (mod g)."""
+    return tuple([move for g, r, move in gate if d % g == r])
 
 
-def _search(skips: Iterable[int], max_len: int, cycles: bool):
+def _search(skips: Iterable[int], max_len: int, cycles: bool) -> SearchResult | None:
     skip_list = sorted_skips(skips)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -275,9 +268,18 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool):
 
     node(0, 0, 1, 0)
     if best is None:
-        return None, truncated
+        return None
     neg_len, start, _, _, found = best
-    return (SignedPattern(found), -neg_len, start), truncated
+    sp = SignedPattern(found)
+    if cycles:
+        verdict = valid_odd_cycle(sp)
+        kind, valid = "odd-cycle", verdict.valid
+    else:
+        verdict = strict_realizability(sp)
+        kind, valid = "path", verdict.status == REALIZABLE
+    if not valid or verdict.witness_start != start:
+        raise RuntimeError(f"search produced an invalid {'cycle' if cycles else 'path'}: {sp.steps}")
+    return SearchResult(kind, -neg_len, start, sp.unsigned(), sp, truncated)
 
 
 def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:
@@ -286,23 +288,12 @@ def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:
     When the depth cap cuts off unexplored branches the result is flagged
     as a lower bound.
     """
-    found, truncated = _search(skips, max_len, cycles=False)
-    assert found is not None  # every single skip realizes as a path
-    sp, length, start = found
-    verdict = strict_realizability(sp)
-    if verdict.status != REALIZABLE or verdict.witness_start != start:
-        raise RuntimeError(f"search produced an invalid path: {sp.steps}")
-    return SearchResult("path", length, start, sp.unsigned(), sp, truncated)
+    result = _search(skips, max_len, cycles=False)
+    assert result is not None  # every single skip realizes as a path
+    return result
 
 
 def longest_odd_cycle(skips: Iterable[int], max_len: int = 64) -> SearchResult | None:
     """Longest odd cycle over the skip set, or None when none exists
     within the depth cap."""
-    found, truncated = _search(skips, max_len, cycles=True)
-    if found is None:
-        return None
-    sp, length, start = found
-    verdict = valid_odd_cycle(sp)
-    if not verdict.valid or verdict.witness_start != start:
-        raise RuntimeError(f"search produced an invalid cycle: {sp.steps}")
-    return SearchResult("odd-cycle", length, start, sp.unsigned(), sp, truncated)
+    return _search(skips, max_len, cycles=True)

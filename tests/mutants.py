@@ -1,0 +1,105 @@
+"""Mutation checks: each row breaks the library in one place, and the
+tests it names must then fail.
+
+    python tests/mutants.py
+
+Run from anywhere; the checkout is the parent of this file.  For each row
+of ``MUTANTS`` (file, old text, new text, test ids) the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+replaces the old text, which must occur exactly once in the file, by the
+new text, and runs the test ids there under ``timeout 120``.  A mutant is
+killed when its tests fail or time out.  First the ids of every row run
+on the unmutated copy, where they must pass.  The exit code is 1 if a
+mutant survives, an old text is not found exactly once, or a test id
+cannot be collected; so a refactor that moves mutated code must update
+its rows.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+GATE = "tests/test_search.py::test_search_gate_admits_exactly_the_merging_steps"
+DIGEST = "tests/test_realizability.py::test_realizability_golden_digest"
+
+# (file, old text, new text, test ids that must fail)
+MUTANTS = (
+    # the search admits -a only where g divides d
+    ("src/hapdisc/search.py", "if d % g == r", "if d % g == 0", (GATE,)),
+    # every move's residue is 0
+    ("src/hapdisc/search.py", "gate.append((g, shift % g,", "gate.append((g, 0,", (GATE,)),
+    # the shift is not reduced mod g
+    ("src/hapdisc/search.py", "gate.append((g, shift % g,", "gate.append((g, shift,", (GATE,)),
+    # -a is listed before +a
+    (
+        "src/hapdisc/search.py",
+        "for sign, shift in ((1, 0), (-1, a)):",
+        "for sign, shift in ((-1, a), (1, 0)):",
+        (GATE,),
+    ),
+    # the residue test modulo g/2
+    ("src/hapdisc/search.py", "if d % g == r", "if d % (g // 2) == r % (g // 2)", (GATE,)),
+    # the signing walk swaps the shifts of + and -
+    (
+        "src/hapdisc/realizability.py",
+        "a if sign < 0 else 0",
+        "0 if sign < 0 else a",
+        (DIGEST,),
+    ),
+)
+
+
+def run_tests(tree: Path, ids) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = ["timeout", str(TIMEOUT_S), sys.executable, "-m", "pytest", "-q", "-x"]
+    command += ["-p", "no:cacheprovider", *ids]
+    return subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode
+
+
+def copy_tree(dest: Path) -> None:
+    shutil.copytree(ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(
+        ROOT / "tests", dest / "tests", ignore=shutil.ignore_patterns("__pycache__", ".hypothesis")
+    )
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="hapdisc-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        ids = sorted({test for *_, tests in MUTANTS for test in tests})
+        code = run_tests(clean, ids)
+        print(f"unmutated: exit {code}")
+        if code != 0:
+            return 1
+        for n, (name, old, new, tests) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{n}"
+            copy_tree(tree)
+            path = tree / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{n} {name}: old text found {text.count(old)} times: {old!r}")
+                bad += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            code = run_tests(tree, tests)
+            # 1: a test failed; 124: timeout; 0 or anything else is wrong
+            verdict = {0: "SURVIVED", 1: "killed", 124: "killed (timeout)"}.get(code, f"exit {code}")
+            print(f"{n} {name}: {old!r} -> {new!r}: {verdict}")
+            bad += not verdict.startswith("killed")
+            shutil.rmtree(tree)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -537,7 +537,7 @@ def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
     for sign, skip, offset in folded:
         acc = crt_merge(acc, step_congruence(sign, skip, offset)) or acc
     residue, modulus = acc
-    g, both, step, inv = _step_row(modulus, a)
+    g, step, inv = _step_row(modulus, a)
     # one step from the term ``base`` as the search and the signing walk
     # take it: the residue gate, then the merge the row makes plain
     offset = -base - residue
@@ -551,6 +551,7 @@ def test_search_residue_gate_admits_exactly_the_merging_signs(folded, base, a):
         if merged is not None:
             merging[sign] = merged
     assert admitted == merging
+    both = a % g == 0
     assert len(merging) in ((0, 2) if both else (0, 1))
     if step == 1:
         assert all(merged == acc for merged in merging.values())

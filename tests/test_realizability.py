@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -277,3 +278,36 @@ def test_weak_witness_is_least_nonnegative():
             break
     else:
         pytest.fail(f"{found} of 150 realizable patterns before the draws ran out")
+
+
+# --- golden digest ---
+
+
+def _verdict_line(verdict) -> str:
+    failure = verdict.failure
+    where = None if failure is None else (failure.i, failure.j, failure.reason)
+    signed = None if verdict.signed is None else verdict.signed.steps
+    return f"{verdict.status} {verdict.witness_start} {signed} {where}"
+
+
+def test_realizability_golden_digest():
+    # every unsigned pattern of 1-5 steps over skips 1..6, then 2 000
+    # seeded signed ones: status, witness start, signed steps and failing
+    # span of strict_realizability, plus valid_odd_cycle's verdict on each
+    # odd-length zero-sum signed pattern among them and their signings
+    patterns = [Pattern(skips) for n in range(1, 6) for skips in product(range(1, 7), repeat=n)]
+    rng = random.Random(35)
+    patterns += [random_signed(rng, max_skip=6, max_len=7) for _ in range(2000)]
+    lines = []
+    valid = 0
+    for p in patterns:
+        verdict = strict_realizability(p)
+        lines.append(_verdict_line(verdict))
+        for signed in dict.fromkeys((p, verdict.signed)):
+            if isinstance(signed, SignedPattern) and len(signed) % 2 and signed.signed_sum == 0:
+                cycle = valid_odd_cycle(signed)
+                lines.append(f"cycle {signed.steps} {cycle.valid} {cycle.witness_start} {cycle.reason}")
+                valid += cycle.valid
+    assert valid >= 5
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8d9bc3e3ee1f2257992bbb4bba82a2cfad27de3b1819b840bbeded2dae966c97"

@@ -330,7 +330,7 @@ def test_search_merges_only_surviving_steps(monkeypatch):
             run()
             keys = [(modulus, a) for modulus, a, _ in rows]
             assert keys and len(set(keys)) == len(keys)
-            for modulus, a, (g, _, step, inv) in rows:
+            for modulus, a, (g, step, inv) in rows:
                 residues = range(modulus) if modulus <= 16 else rng.sample(range(modulus), 16)
                 for residue in residues:
                     for base in range(-a, a):
