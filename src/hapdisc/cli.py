@@ -172,11 +172,12 @@ def _cmd_longest(args) -> tuple[dict, str, int]:
     from . import search
 
     skips = _parse_int_list(args.skips, "skip set")
-    if args.kind == "path":
-        result = search.longest_path(skips, args.max_len)
-    else:
-        result = search.longest_odd_cycle(skips, args.max_len)
+    result, truncated = search._search(skips, args.max_len, cycles=args.kind == "cycle")
     if result is None:
+        # no cycle fits under the cap, but the cap cut branches that
+        # might close a longer one
+        if truncated:
+            return {"result": None, "lower_bound": True}, "none (lower bound)", 0
         return {"result": None}, "none", 0
     pattern = format_pattern(result.pattern)
     payload = {

@@ -10,6 +10,7 @@ an odd multiple (the right end), which also signs an unsigned step.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -35,9 +36,10 @@ DEFAULT_PERIOD_CAP = 1 << 24
 
 
 def sorted_skips(values: Iterable[int]) -> tuple[int, ...]:
-    """A skip set as sorted distinct values; it must be nonempty and
-    every skip at least 1."""
-    ss = tuple(sorted(set(values)))
+    """A skip set as sorted distinct Python ints; it must be nonempty and
+    every skip at least 1.  Integer-like values (numpy integers) are
+    converted, anything else raises TypeError."""
+    ss = tuple(sorted(set(map(operator.index, values))))
     if not ss:
         raise ValueError("skip set must be nonempty")
     if ss[0] < 1:

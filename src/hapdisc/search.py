@@ -21,8 +21,10 @@ rule admits a step, as in ``realizability._signings``: it merges iff w is
 its shift (0 for +a, a for -a) mod g = gcd(modulus, 2a) (``_step_row``).
 As g divides the modulus, that holds iff d = gcd(w, modulus) is the shift
 mod g (``_moves``), so one gcd per node looks the steps up in a table
-built per search, keyed by (modulus, d), from the moves built once per
-modulus (``_gate``).  A step merges by plain integer arithmetic only
+keyed by (modulus, d), from the moves built once per modulus (``_gate``).
+Both depend on the skips alone, so those of the last skip set searched
+are kept for the next search on it, of either kind and any cap
+(``_tables``).  A step merges by plain integer arithmetic only
 while its step 2a / g exceeds 1: from the period 2 * lcm(skips) on,
 the start is one residue, w is a concrete vertex and every merge is the
 identity.  It runs none of the window rules, which can only cut what these
@@ -169,7 +171,7 @@ def rule_scan(p: AnyPattern) -> RuleVerdict:
     return RuleVerdict(False)
 
 
-def _gate(modulus: int, skips: list[int]) -> tuple[tuple, ...]:
+def _gate(modulus: int, skips: tuple[int, ...]) -> tuple[tuple, ...]:
     """The moves of a start congruence modulo ``modulus``, in walk order
     (skips ascending, + before -), each as (g, r, move): g of its step row
     (``_step_row``) and r its shift (0 for +a, a for -a) mod g.  A move is
@@ -193,7 +195,20 @@ def _moves(d: int, gate: tuple[tuple, ...]) -> tuple[tuple, ...]:
     return tuple([move for g, r, move in gate if d % g == r])
 
 
-def _search(skips: Iterable[int], max_len: int, cycles: bool) -> SearchResult | None:
+@functools.lru_cache(maxsize=1)
+def _tables(skips: tuple[int, ...]) -> tuple:
+    """The gate cache and the (modulus, d) move tables of a skip set: per
+    modulus one gate (so one step row per skip), and per modulus and d its
+    moves.  Only the last skip set's are kept.  Every entry is a pure
+    function of its key, so two searches in different threads read at
+    worst an entry the other has just filled, never a wrong one."""
+    gate = functools.cache(lambda modulus: _gate(modulus, skips))
+    return gate, collections.defaultdict(dict)
+
+
+def _search(skips: Iterable[int], max_len: int, cycles: bool) -> tuple[SearchResult | None, bool]:
+    """The search's result, or None when no candidate is found, beside
+    its flag: True when a prune that depends on the cap fired."""
     skip_list = sorted_skips(skips)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -204,9 +219,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool) -> SearchResult | 
     truncated = False
     steps: list[tuple[int, int]] = []
     seen = {0}
-    # per modulus, one gate (so one step row per skip) and the moves per d
-    gate = functools.cache(lambda modulus: _gate(modulus, skip_list))
-    tables: dict[int, dict[int, tuple]] = collections.defaultdict(dict)
+    gate, tables = _tables(skip_list)
     gcd = math.gcd
 
     def consider(length: int, start: int, closing: tuple[int, int] | None) -> None:
@@ -268,7 +281,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool) -> SearchResult | 
 
     node(0, 0, 1, 0)
     if best is None:
-        return None
+        return None, truncated
     neg_len, start, _, _, found = best
     sp = SignedPattern(found)
     if cycles:
@@ -279,7 +292,7 @@ def _search(skips: Iterable[int], max_len: int, cycles: bool) -> SearchResult | 
         kind, valid = "path", verdict.status == REALIZABLE
     if not valid or verdict.witness_start != start:
         raise RuntimeError(f"search produced an invalid {'cycle' if cycles else 'path'}: {sp.steps}")
-    return SearchResult(kind, -neg_len, start, sp.unsigned(), sp, truncated)
+    return SearchResult(kind, -neg_len, start, sp.unsigned(), sp, truncated), truncated
 
 
 def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:
@@ -288,7 +301,7 @@ def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:
     When the depth cap cuts off unexplored branches the result is flagged
     as a lower bound.
     """
-    result = _search(skips, max_len, cycles=False)
+    result = _search(skips, max_len, cycles=False)[0]
     assert result is not None  # every single skip realizes as a path
     return result
 
@@ -296,4 +309,4 @@ def longest_path(skips: Iterable[int], max_len: int = 64) -> SearchResult:
 def longest_odd_cycle(skips: Iterable[int], max_len: int = 64) -> SearchResult | None:
     """Longest odd cycle over the skip set, or None when none exists
     within the depth cap."""
-    return _search(skips, max_len, cycles=True)
+    return _search(skips, max_len, cycles=True)[0]

@@ -29,6 +29,7 @@ TIMEOUT_S = 120
 
 GATE = "tests/test_search.py::test_search_gate_admits_exactly_the_merging_steps"
 DIGEST = "tests/test_realizability.py::test_realizability_golden_digest"
+LEAK = "tests/test_search.py::test_search_tables_do_not_leak_between_skip_sets"
 
 # (file, old text, new text, test ids that must fail)
 MUTANTS = (
@@ -47,6 +48,35 @@ MUTANTS = (
     ),
     # the residue test modulo g/2
     ("src/hapdisc/search.py", "if d % g == r", "if d % (g // 2) == r % (g // 2)", (GATE,)),
+    # the move tables are kept under a key that drops the largest skip
+    (
+        "src/hapdisc/search.py",
+        "    gate, tables = _tables(skip_list)\n",
+        "    _, tables = _tables(skip_list[:-1])\n"
+        "    gate = functools.cache(lambda modulus: _gate(modulus, skip_list))\n",
+        (LEAK,),
+    ),
+    # the tables and the gate are those of the set without its largest skip
+    (
+        "src/hapdisc/search.py",
+        "gate, tables = _tables(skip_list)",
+        "gate, tables = _tables(skip_list[:-1])",
+        ("tests/test_search.py::test_longest_path_rows",),
+    ),
+    # the depth cap does not flag the row
+    (
+        "src/hapdisc/search.py",
+        "            truncated = True\n            return\n",
+        "            return\n",
+        ("tests/test_search.py::test_lower_bound_flag",),
+    ),
+    # the cycle distance prune does not flag the row
+    (
+        "src/hapdisc/search.py",
+        "truncated = True  # the one cycle prune",
+        "pass  # the one cycle prune",
+        ("tests/test_search.py::test_capped_none_flags_lower_bound",),
+    ),
     # the signing walk swaps the shifts of + and -
     (
         "src/hapdisc/realizability.py",

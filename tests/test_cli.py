@@ -504,6 +504,13 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             '"lower_bound": true}',
         ),
         _row(["longest", "-s", "1,2", "--kind", "cycle"], 0, "none", '{"result": null}'),
+        # no cycle fits in 5 steps, but cap 9 finds a 7-cycle
+        _row(
+            ["longest", "-s", "1,3,5,8", "--kind", "cycle", "--max-len", "5"],
+            0,
+            "none (lower bound)",
+            '{"result": null, "lower_bound": true}',
+        ),
         _row(
             ["reduce", "-a", "1,2,3"],
             0,

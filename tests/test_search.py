@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from hapdisc import realizability, search
@@ -261,6 +262,15 @@ def test_cycle_cap_below_a_longer_cycle_flags_lower_bound():
     assert capped.lower_bound
 
 
+def test_capped_none_flags_lower_bound():
+    # no odd cycle of {1,3,5,8} fits in 5 steps, yet cap 9 finds a 7-cycle:
+    # the capped "none" reads as a lower bound; {1,3} has no odd cycle at
+    # all, and its "none" is exact
+    assert search._search([1, 3, 5, 8], 5, cycles=True) == (None, True)
+    assert longest_odd_cycle([1, 3, 5, 8], 5) is None
+    assert search._search([1, 3], 9, cycles=True) == (None, False)
+
+
 def test_stored_six_set_cycle_row_is_the_search_row():
     # at cap 47 the search returns the stored 47-cycle of {1,3,4,6,13,121}
     # itself; the cap cut branches, so the row reads as a lower bound
@@ -312,9 +322,11 @@ def test_search_results_pass_rule_scan():
 
 
 def test_search_merges_only_surviving_steps(monkeypatch):
-    # the DFS builds each step row once per modulus, and on every row it
-    # builds the residue gate admits exactly the steps that the reference
-    # merge (oracles.crt_merge) merges, with that merge's congruence
+    # the DFS builds each step row once per modulus, across a path search
+    # and a cycle search on the same skips, which share their tables; on
+    # every row it builds the residue gate admits exactly the steps that
+    # the reference merge (oracles.crt_merge) merges, with that merge's
+    # congruence
     rows = []
 
     def recording_row(modulus, a):
@@ -325,29 +337,31 @@ def test_search_merges_only_surviving_steps(monkeypatch):
     rng = random.Random(15)
     checked = 0
     for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37]):
-        for run in (lambda: longest_path(skips, 64), lambda: longest_odd_cycle(skips, 25)):
-            rows.clear()
-            run()
-            keys = [(modulus, a) for modulus, a, _ in rows]
-            assert keys and len(set(keys)) == len(keys)
-            for modulus, a, (g, step, inv) in rows:
-                residues = range(modulus) if modulus <= 16 else rng.sample(range(modulus), 16)
-                for residue in residues:
-                    for base in range(-a, a):
-                        offset = -base - residue
-                        for sign, diff in ((1, offset), (-1, offset + a)):
-                            merged = crt_merge((residue, modulus), step_congruence(sign, a, base))
-                            if diff % g:
-                                assert merged is None
-                            else:
-                                checked += 1
-                                k = diff // g * inv % step
-                                assert merged == (residue + modulus * k, modulus * step)
+        search._tables.cache_clear()
+        rows.clear()
+        longest_path(skips, 64)
+        longest_odd_cycle(skips, 25)
+        keys = [(modulus, a) for modulus, a, _ in rows]
+        assert keys and len(set(keys)) == len(keys)
+        for modulus, a, (g, step, inv) in rows:
+            residues = range(modulus) if modulus <= 16 else rng.sample(range(modulus), 16)
+            for residue in residues:
+                for base in range(-a, a):
+                    offset = -base - residue
+                    for sign, diff in ((1, offset), (-1, offset + a)):
+                        merged = crt_merge((residue, modulus), step_congruence(sign, a, base))
+                        if diff % g:
+                            assert merged is None
+                        else:
+                            checked += 1
+                            k = diff // g * inv % step
+                            assert merged == (residue + modulus * k, modulus * step)
     assert checked
 
 
 def test_search_gate_admits_exactly_the_merging_steps(monkeypatch):
-    # every (modulus, d) entry the DFS builds lists, in walk order, exactly
+    # every (modulus, d) entry the DFS builds, once across a path search
+    # and a cycle search on the same skips, lists, in walk order, exactly
     # the steps whose step congruence the reference merge (oracles.crt_merge)
     # merges from a term w with gcd(w, modulus) = d, each with that merge;
     # entries are checked as they are built, so a gate that admits too
@@ -396,12 +410,45 @@ def test_search_gate_admits_exactly_the_merging_steps(monkeypatch):
     monkeypatch.setattr(search, "_gate", recorded_gate)
     monkeypatch.setattr(search, "_moves", checked_moves)
     for skips in ([1, 5, 7], [1, 4, 7, 9], [1, 2, 9, 35, 37], [2, 3, 5, 7, 11, 13]):
-        for run in (lambda: longest_path(skips, 40), lambda: longest_odd_cycle(skips, 25)):
-            keys.clear()
-            run()
-            assert keys
+        search._tables.cache_clear()
+        keys.clear()
+        longest_path(skips, 40)
+        longest_odd_cycle(skips, 25)
+        assert keys
     # -a passes both when g divides a and when a is g/2 mod g
     assert downs[True] and downs[False]
+
+
+def test_search_tables_do_not_leak_between_skip_sets():
+    # only the last skip set's tables are kept, and a search on another set
+    # never reads them: searches on A, B, A in turn give the rows (flag
+    # included) of searches that each start from an empty cache.  A and B
+    # are panel 5-sets scaled by 3 that differ only in their largest skip.
+    a = tuple(3 * x for x in (1, 14, 20, 25, 28))
+    b = tuple(3 * x for x in (1, 14, 20, 25, 37))
+
+    def fresh(skips, cap):
+        search._tables.cache_clear()
+        path = longest_path(skips, cap)
+        search._tables.cache_clear()
+        return path, longest_odd_cycle(skips, cap)
+
+    for cap in (3, 25, 64):
+        expected = {skips: fresh(skips, cap) for skips in (a, b)}
+        for skips in (a, b, a):
+            assert (longest_path(skips, cap), longest_odd_cycle(skips, cap)) == expected[skips], (skips, cap)
+            assert search._tables.cache_info().currsize == 1
+
+
+def test_integer_like_skips_search_as_ints():
+    # numpy integers are read as Python ints, so a search on an array gives
+    # the rows of a search on a list, whichever of the two fills the kept
+    # tables first
+    skips = [1, 3, 5, 8]
+    for first, second in ((np.array(skips), skips), (skips, np.array(skips))):
+        rows = [(longest_path(s, 9), longest_odd_cycle(s, 9)) for s in (first, second)]
+        assert rows[0] == rows[1]
+        assert all(type(x) is int for row in rows[0] for x in (row.start, *row.pattern.skips))
 
 
 def test_golden_digest():
