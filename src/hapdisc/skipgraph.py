@@ -185,10 +185,10 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     head[s0 :: 2 * s0] = False
     live = np.flatnonzero(head).astype(dtype)  # each node's least vertex, ascending
     n = live.size
-    end = np.empty(period, dtype=dtype)  # read at the ends of larger skips' edges only
-    end[live] = np.arange(0, 2 * n, 2, dtype=dtype)
-    end[s0 :: 2 * s0] = end[:: 2 * s0] | 1
     key = np.arange(0, 2 * n, 2, dtype=dtype)
+    end = np.empty(period, dtype=dtype)  # read at the ends of larger skips' edges only
+    _scatter(end, live, key)
+    end[s0 :: 2 * s0] = end[:: 2 * s0] | 1
     for u, w in _edges(g, end):
         _hook(key, u, w)
     for lo in range(0, n, _CHUNK):  # parents precede children: earlier batches are flat
@@ -199,9 +199,9 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
     while True:  # every node is on its root
         kept_u, kept_w = [empty], [empty]
         for u, w in batches:
-            ku, kw = _up(key, u), _up(key, w)
-            joins = ku >> 1 != kw >> 1
-            odd.append(u[~joins & ((ku ^ kw) & 1 == 0)])  # one root, equal parities
+            x = _up(key, u) ^ _up(key, w)
+            odd.append(u[x == 0])  # one root, equal parities
+            joins = x > 1  # two roots
             kept_u.append(u[joins])
             kept_w.append(w[joins])
         u, w = np.concatenate(kept_u), np.concatenate(kept_w)
@@ -214,18 +214,35 @@ def _parity_union_find(g: SkipGraph) -> bytearray | int:
         batches = [(u, w)]
     odd = np.concatenate(odd)
     if odd.size:
-        return int(live[(key[odd >> 1] >> 1).min()])
+        return int(live[(_up(key, odd) >> 1).min()])
     signs = bytearray(b"\x01") * period  # the BFS's bytes: isolated vertices stay +1
     view = np.frombuffer(signs, dtype=np.int8)
-    view[live] = 1 - 2 * (key & 1).astype(np.int8)
+    _scatter(view, live, 1 - 2 * (key & 1).astype(np.int8))
     view[s0 :: 2 * s0] = -view[:: 2 * s0]  # each pair's odd end
     return signs
 
 
 def _up(key: np.ndarray, k: np.ndarray) -> np.ndarray:
     """One pointer step: for each k = 2*node + parity, a key or an edge end,
-    the node's key with that parity folded in (2*parent + parity)."""
-    return key[k >> 1] ^ (k & 1)
+    the node's key with that parity folded in (2*parent + parity).
+
+    The union-find's index rule: its index arrays stay int32 (int64 past
+    2**31), every batch is gathered with ``take`` and every node-sized
+    scatter goes through ``_scatter``, per ``_CHUNK`` in intp.  numpy
+    fancy-indexes about 2.5x slower with int32 indices than with intp ones,
+    and a node-sized intp copy would cost 8 bytes a node.  ``_hook``'s
+    ``np.minimum.at`` and a later round's ``_jump`` over the few roots it
+    hooked take their int32 indices as they are: an intp copy gained
+    nothing measurable there, and raised the peak memory in ``_hook``."""
+    return key.take(k >> 1) ^ (k & 1)
+
+
+def _scatter(out: np.ndarray, at: np.ndarray, values: np.ndarray) -> None:
+    """``out[at] = values``, with ``at`` cast to intp one ``_CHUNK`` at a time."""
+    import numpy as np
+
+    for lo in range(0, at.size, _CHUNK):
+        out[at[lo : lo + _CHUNK].astype(np.intp)] = values[lo : lo + _CHUNK]
 
 
 def _hook(key: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ TIMEOUT_S = 120
 GATE = "tests/test_search.py::test_search_gate_admits_exactly_the_merging_steps"
 DIGEST = "tests/test_realizability.py::test_realizability_golden_digest"
 LEAK = "tests/test_search.py::test_search_tables_do_not_leak_between_skip_sets"
+# three pinned blocks whose later rounds need every pointer step, hook and jump
+UNION_FIND = ("tests/test_skipgraph.py::test_union_find_later_rounds_pinned",)
 
 # (file, old text, new text, test ids that must fail)
 MUTANTS = (
@@ -77,6 +79,22 @@ MUTANTS = (
         "pass  # the one cycle prune",
         ("tests/test_search.py::test_capped_none_flags_lower_bound",),
     ),
+    # the union-find's pointer step drops the parity fold
+    (
+        "src/hapdisc/skipgraph.py",
+        "return key.take(k >> 1) ^ (k & 1)",
+        "return key.take(k >> 1)",
+        UNION_FIND,
+    ),
+    # a later round hooks its roots but does not jump them
+    (
+        "src/hapdisc/skipgraph.py",
+        "_jump(key, _hook(key, u, w))",
+        "_hook(key, u, w)",
+        UNION_FIND,
+    ),
+    # a hook gives the hooked root the parity of the edge's ends, not the opposite
+    ("src/hapdisc/skipgraph.py", "flip = (ku ^ kw ^ 1) & 1", "flip = (ku ^ kw) & 1", UNION_FIND),
     # the signing walk swaps the shifts of + and -
     (
         "src/hapdisc/realizability.py",

@@ -263,6 +263,34 @@ def test_union_find_matches_bfs_on_small_sets(monkeypatch):
     assert sum(isinstance(found, str) for found in by_bfs) == 260
 
 
+def test_union_find_matches_bfs_in_the_workload_range(monkeypatch):
+    # seeded 4-6-sets of skips from 1..64 with blocks of 2**16-2**18
+    # vertices, the range of the benchmark's blocks, and four edge sets:
+    # lone skips, with no edge for the union-find to read, and a block of
+    # exactly 2**16 vertices.  The BFS over the whole block must agree, and
+    # the union-find alone must find an odd component just when it does: a
+    # false one would be hidden by the BFS that restarts from it
+    rng = random.Random(5)
+    sets = []
+    while len(sets) < 24:
+        s = sorted(rng.sample(range(1, 65), rng.randint(4, 6)))
+        if 1 << 16 <= 2 * math.lcm(*s) < 1 << 18:
+            sets.append(s)
+    sets += [(32768,), (1, 32768), (16384, 32768), (65536,)]
+    forces = []
+    for s in sets:
+        g = build_graph(s)
+        assert g.period >= skipgraph._VECTOR_MIN_PERIOD
+        found = solve_block(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", g.period + 1)
+            by_bfs = solve_block(g)
+        assert _certificate_bytes(found) == _certificate_bytes(by_bfs), s
+        forces.append(isinstance(by_bfs, OddCycleCertificate))
+        assert isinstance(skipgraph._parity_union_find(g), int) == forces[-1], s
+    assert sum(forces[:12]) == 3  # both outcomes occur
+
+
 def test_bfs_golden_digest():
     # every coloring and certificate of the 2499 blocks below 2**16 among
     # the 2-4-subsets of 1..16, all decided by the BFS; recorded from the
@@ -410,8 +438,10 @@ def test_union_find_memory_stays_flat():
     # a dense 524170-vertex block, whose edges are made per chunk each
     # round, and a sparse 414120-vertex one, relabelled to its live
     # vertices: no materialized graph or double cover, and no int64 edge
-    # arrays.  The odd sparse 421344-vertex block peaked at 3.52 MB with
-    # numpy 2.4 (3.80 MB while its live vertices were kept as int64).
+    # arrays.  The odd sparse 421344-vertex block peaked at 3.64 MB with
+    # numpy 2.4, where ``take`` casts each batch of indices to intp (3.42 MB
+    # with int32 fancy indexing, 3.80 MB while its live vertices were kept
+    # as int64).
     for skips, bound in (
         ((1, 5, 23, 43, 53), 8_000_000),
         ((17, 28, 29, 60), 8_000_000),
