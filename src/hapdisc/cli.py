@@ -137,7 +137,8 @@ def _cmd_check(args) -> tuple[dict, str, int]:
     payload: dict = {"status": verdict.status}
     if failure is not None:
         payload["failure"] = {"i": failure.i, "j": failure.j, "reason": failure.reason}
-        human = f"forbidden ({failure.reason} fails on steps {failure.i}..{failure.j})"
+        where = "no signing fits" if failure.reason == "no-signing" else f"{failure.reason} fails on"
+        human = f"forbidden ({where} steps {failure.i}..{failure.j})"
     else:
         signed = format_pattern(verdict.signed)
         payload["start"] = verdict.witness_start

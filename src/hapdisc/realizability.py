@@ -17,7 +17,9 @@ negative).  One congruence test decides both conditions of a span: its
 two end steps' congruences agree modulo 2 gcd(a_i, a_j).  One signing
 walk decides every verdict: it merges the congruences step by step,
 admitting + then - on an unsigned pattern by one residue test, and
-reports the least nonnegative solution as the witness start.  Strict
+reports the least nonnegative solution as the witness start, or else
+the step where every signing died, the end of an unsigned pattern's
+minimal window that no signing fits.  Strict
 realizability additionally demands that the walk repeat no term (an arc
 repeat implies one): the partial sums of its signed steps decide that,
 whatever the start.
@@ -39,12 +41,14 @@ REALIZABLE = "realizable"
 
 @dataclass(frozen=True)
 class SubpathReport:
-    """Divisibility/parity verdict for the subpath spanned by steps i..j."""
+    """Divisibility/parity verdict for the subpath spanned by steps i..j.
+    A window of an unsigned pattern that no signing fits has no single
+    inner sum or gcd: both are None and its reason is ``no-signing``."""
 
     i: int
     j: int
-    intermediate_sum: int
-    gcd: int
+    intermediate_sum: int | None
+    gcd: int | None
     divisibility_ok: bool
     parity_ok: bool
 
@@ -54,6 +58,8 @@ class SubpathReport:
 
     @property
     def reason(self) -> str | None:
+        if self.gcd is None:
+            return "no-signing"
         if not self.divisibility_ok:
             return "divisibility"
         if not self.parity_ok:
@@ -118,34 +124,6 @@ def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
             inner += sign_j * a_j
 
 
-def _sign_free_divisibility_failure(p: Pattern) -> SubpathReport | None:
-    """A subpath whose divisibility fails under every sign assignment.
-
-    For the span (i, j) the realizable intermediate sums modulo
-    gcd(a_i, a_j) are exactly those reachable by +/- choices, so an empty
-    intersection with 0 is a sign-independent obstruction.  One pass per
-    left end i keeps one set of reachable residues per distinct gcd, folds
-    each inner skip into it and drops it after that gcd's last span, so
-    every set is folded once over that gcd's longest span: never more work
-    than rebuilding the residues of that span alone.  That is still
-    subset-sum modulo the gcd, so when the end skips of a span (i, j) share
-    a large gcd its set can hold up to 2^(j-i-1) residues.
-    """
-    skips = p.skips
-    for i, a_i in enumerate(skips):
-        last = {math.gcd(a_i, a_j): j for j, a_j in enumerate(skips[i + 1 :], i + 1)}
-        reachable = dict.fromkeys(last, {0})
-        inner = 0
-        for j, x in enumerate(skips[i + 1 :], i + 1):
-            g = math.gcd(a_i, x)
-            if 0 not in (reachable.pop(g) if last[g] == j else reachable[g]):
-                return SubpathReport(i, j, inner, g, False, False)
-            for m, rs in reachable.items():
-                reachable[m] = {(r + s) % m for r in rs for s in (x, -x)}
-            inner += x
-    return None
-
-
 def _step_row(modulus: int, a: int) -> tuple[int, int, int]:
     """The step row ``(g, step, inv)`` of skip ``a`` against a start
     congruence (residue, modulus): g = gcd(modulus, 2a), step = 2a / g and
@@ -160,14 +138,16 @@ def _step_row(modulus: int, a: int) -> tuple[int, int, int]:
     return g, step, pow(modulus // g, -1, step)
 
 
-def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
-    """Weakly realizable signings of ``p`` in lexicographic order (+ before
-    -), each with its least witness start.  A signed pattern offers its own
-    sign at each step, an unsigned one + then -.  The walk goes level by
-    level over live prefixes (signs, step offset, least start).  After k
-    steps every one has modulus lcm(2a_0 .. 2a_{k-1}), whatever its signs,
-    so one step row per depth gates and merges them all; the walk stops
-    as soon as no prefix is live.
+def _signings(p: AnyPattern) -> tuple[list[tuple[SignedPattern, int]], int]:
+    """The weakly realizable signings of ``p`` in lexicographic order (+
+    before -), each with its least witness start, and the step the walk
+    died at: the first k such that steps 0..k have no signing (so steps
+    0..k-1 have one), or len(p) when a signing walks.  A signed pattern
+    offers its own sign at each step, an unsigned one + then -.  The walk
+    goes level by level over live prefixes (signs, step offset, least
+    start).  After k steps every one has modulus lcm(2a_0 .. 2a_{k-1}),
+    whatever its signs, so one step row per depth gates and merges them
+    all; the walk stops as soon as no prefix is live.
 
     At most two signings are yielded (proved).  A start fixes its walk,
     since a step leaves up from an even multiple of its skip and down from
@@ -185,7 +165,7 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
     offers = [(sign,) for sign in p.signs] if isinstance(p, SignedPattern) else [(1, -1)] * len(skips)
     live: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     modulus = 1
-    for a, offer in zip(skips, offers):
+    for k, (a, offer) in enumerate(zip(skips, offers)):
         g, step, inv = _step_row(modulus, a)
         advanced = []
         for signs, offset, residue in live:
@@ -195,10 +175,20 @@ def _signings(p: AnyPattern) -> Iterator[tuple[SignedPattern, int]]:
                     merged = residue + modulus * (diff // g * inv % step)
                     advanced.append((signs + (sign,), offset + sign * a, merged))
         if not advanced:
-            return
+            return [], k
         live, modulus = advanced, modulus * step
-    for signs, _, start in live:
-        yield SignedPattern(tuple(zip(signs, skips))), start
+    return [(SignedPattern(tuple(zip(signs, skips))), start) for signs, _, start in live], len(skips)
+
+
+def _no_signing_window(skips: tuple[int, ...], k: int) -> SubpathReport:
+    """The window of steps i..k that no signing of ``skips`` fits, where k
+    is the step the signing walk died at and i the largest start such a
+    window has (a lone step always walks, so i < k).  Steps i+1..k have a
+    signing by the choice of i, and steps i..k-1 as part of steps 0..k-1,
+    so every proper sub-window has one: the window is a minimal
+    obstruction."""
+    i = next(i for i in range(k - 1, -1, -1) if not _signings(Pattern(skips[i : k + 1]))[0])
+    return SubpathReport(i, k, None, None, False, False)
 
 
 def _repeats_a_term(sp: SignedPattern, closed: bool = False) -> bool:
@@ -211,15 +201,12 @@ def _repeats_a_term(sp: SignedPattern, closed: bool = False) -> bool:
     return len(set(sums)) < len(sums)
 
 
-def _forbidden(p: AnyPattern) -> RealizabilityVerdict:
-    """FORBIDDEN with a failing subpath: the first failing span of a signed
-    pattern; for an unsigned one a sign-free divisibility failure, else the
-    first failing span of its all-plus signing."""
+def _forbidden(p: AnyPattern, k: int) -> RealizabilityVerdict:
+    """FORBIDDEN with its obstruction, given the step k the signing walk
+    died at: the first failing span of a signed pattern, the minimal
+    window that no signing fits of an unsigned one."""
     if isinstance(p, Pattern):
-        failure = _sign_free_divisibility_failure(p)
-        if failure is not None:
-            return RealizabilityVerdict(FORBIDDEN, failure=failure)
-        p = SignedPattern(tuple((1, s) for s in p.skips))
+        return RealizabilityVerdict(FORBIDDEN, failure=_no_signing_window(p.skips, k))
     failure = next((report for report in _subpath_reports(p) if not report.ok), None)
     if failure is None:
         raise RuntimeError(
@@ -231,11 +218,13 @@ def _forbidden(p: AnyPattern) -> RealizabilityVerdict:
 
 def weakly_realizable(sp: SignedPattern) -> RealizabilityVerdict:
     """Decide weak realizability and produce the least witness start: the
-    first signing the walk yields, else the lexicographically first
-    failing (i, j) subpath."""
-    for signed, start in _signings(sp):
-        return RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=signed)
-    return _forbidden(sp)
+    signing the walk yields, else the lexicographically first failing
+    (i, j) subpath."""
+    signings, k = _signings(sp)
+    if not signings:
+        return _forbidden(sp, k)
+    signed, start = signings[0]
+    return RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=signed)
 
 
 def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
@@ -249,13 +238,12 @@ def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
     strict signing is reported, else the least weak one.  A signed pattern
     has one signing, itself.
     """
-    first_weak: RealizabilityVerdict | None = None
-    for sp, start in _signings(p):
-        if not _repeats_a_term(sp):
-            return RealizabilityVerdict(REALIZABLE, start, signed=sp)
-        if first_weak is None:
-            first_weak = RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=sp)
-    return first_weak if first_weak is not None else _forbidden(p)
+    signings, k = _signings(p)
+    if not signings:
+        return _forbidden(p, k)
+    strict = next((found for found in signings if not _repeats_a_term(found[0])), None)
+    sp, start = strict or signings[0]
+    return RealizabilityVerdict(WEAKLY_REALIZABLE if strict is None else REALIZABLE, start, signed=sp)
 
 
 def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
@@ -273,10 +261,10 @@ def valid_odd_cycle(sp: SignedPattern) -> CycleVerdict:
         return CycleVerdict(False, total, reason="even-length")
     if total != 0:
         return CycleVerdict(False, total, reason="nonzero-sum")
-    found = next(_signings(sp), None)
-    if found is None:
+    signings, _ = _signings(sp)
+    if not signings:
         return CycleVerdict(False, total, reason="not-weakly-realizable")
-    start = found[1]
+    start = signings[0][1]
     if _repeats_a_term(sp, closed=True):
         return CycleVerdict(False, total, witness_start=start, reason="repeated-term")
     return CycleVerdict(True, total, witness_start=start)

@@ -6,9 +6,11 @@ repeats, using local window shapes: an immediately repeated skip, the
 [a b a] window with a not dividing b, [a b a b], a window [a b c a] whose
 outer skip exceeds both inner ones, any three pairs packed into six
 consecutive steps, the seven-step shape [b a c a b a c], odd runs of odd
-skips fenced by even skips, span gcd obstructions, and the sign rules on
-adjacent steps.  These are necessary conditions only; surviving every
-rule does not certify realizability.
+skips fenced by even skips, the sign rules on adjacent steps, and last
+the span obstructions: a signed pattern's first span whose divisibility
+fails, an unsigned one's minimal window that no signing fits.  These are
+necessary conditions only; surviving every rule does not certify
+realizability.
 
 The depth-first search enumerates signed extensions and prunes by
 congruence, freshness and distance only: a single incrementally merged
@@ -49,7 +51,7 @@ from typing import Iterable
 from .pattern import AnyPattern, Pattern, SignedPattern, _walk_order, sorted_skips
 from .realizability import (
     REALIZABLE,
-    _sign_free_divisibility_failure,
+    _no_signing_window,
     _signings,
     _step_row,
     _subpath_reports,
@@ -116,13 +118,15 @@ def _adjacent_parity(same_sign: bool):
 
 
 def _gcd_span(p):
-    # A weakly realizable signing passes divisibility on every span, so
-    # the span scan (O(n^2) signed, exponential sign-free) runs only when
-    # the O(n) signing walk finds none.
-    if next(_signings(p), None) is not None:
+    # A weakly realizable signing passes divisibility on every span, so the
+    # O(n^2) span scan of a signed pattern runs only when the O(n) signing
+    # walk finds none; an unsigned one reports the walk's minimal window
+    # that no signing fits, as ``strict_realizability`` does.
+    signings, k = _signings(p)
+    if signings:
         return None
     if isinstance(p, Pattern):
-        failure = _sign_free_divisibility_failure(p)
+        failure = _no_signing_window(p.skips, k)
     else:
         failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
     return None if failure is None else (failure.i, failure.j)

@@ -30,6 +30,7 @@ TIMEOUT_S = 120
 GATE = "tests/test_search.py::test_search_gate_admits_exactly_the_merging_steps"
 DIGEST = "tests/test_realizability.py::test_realizability_golden_digest"
 LEAK = "tests/test_search.py::test_search_tables_do_not_leak_between_skip_sets"
+WINDOW = "tests/test_properties.py::test_no_signing_window_matches_signing_scan"
 # three pinned blocks whose later rounds need every pointer step, hook and jump
 UNION_FIND = ("tests/test_skipgraph.py::test_union_find_later_rounds_pinned",)
 
@@ -84,7 +85,15 @@ MUTANTS = (
         "src/hapdisc/skipgraph.py",
         "return key.take(k >> 1) ^ (k & 1)",
         "return key.take(k >> 1)",
-        UNION_FIND,
+        UNION_FIND + ("tests/test_skipgraph.py::test_union_find_matches_bfs_on_small_sets",),
+    ),
+    # the union-find finds an odd component at vertex 0 in every block, which
+    # the BFS that restarts from it would hide
+    (
+        "src/hapdisc/skipgraph.py",
+        "    return signs\n",
+        "    return 0\n",
+        ("tests/test_skipgraph.py::test_union_find_matches_bfs_on_small_sets",),
     ),
     # a later round hooks its roots but does not jump them
     (
@@ -102,6 +111,25 @@ MUTANTS = (
         "0 if sign < 0 else a",
         (DIGEST,),
     ),
+    # r one multiple of n lower, and M without its factor n: both still give
+    # coprime skips and the same answers on small instances, so only the
+    # hand-checked values see them
+    (
+        "src/hapdisc/reduction.py",
+        "r = n * (numerator // (2 * n) + 1)",
+        "r = n * (numerator // (2 * n))",
+        ("tests/test_reduction.py::test_build_d1_instance_hand_checked",),
+    ),
+    (
+        "src/hapdisc/reduction.py",
+        "big_m = n * diff_product *",
+        "big_m = diff_product *",
+        ("tests/test_reduction.py::test_build_d1_instance_hand_checked",),
+    ),
+    # the window takes the smallest start, walking starts upward from 0
+    ("src/hapdisc/realizability.py", "range(k - 1, -1, -1)", "range(k)", (WINDOW, DIGEST)),
+    # the walk reports the step after the one it died at
+    ("src/hapdisc/realizability.py", "return [], k", "return [], k + 1", (WINDOW,)),
 )
 
 

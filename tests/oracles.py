@@ -16,6 +16,7 @@ import math
 from itertools import combinations, permutations
 
 from hapdisc.pattern import SignedPattern
+from hapdisc.reduction import ESSWitness
 
 
 def walk_attempt(sp: SignedPattern, start: int) -> bool:
@@ -112,19 +113,36 @@ def weak_signings(skips: list[int]) -> list[tuple[tuple[int, ...], int]]:
     return found
 
 
-def sign_free_span_failure(skips: list[int]) -> tuple[int, int, int, int] | None:
-    """The first span (i, j) with j >= i + 2, by i and then j, where no
-    +/- signing of the inner skips sums to a multiple of gcd(a_i, a_j), as
-    (i, j, plain inner sum, gcd); every signing is tried."""
-    n = len(skips)
-    for i in range(n):
-        for j in range(i + 2, n):
-            g = math.gcd(skips[i], skips[j])
-            inner = skips[i + 1 : j]
-            signings = itertools.product((1, -1), repeat=len(inner))
-            if all(sum(s * x for s, x in zip(signs, inner)) % g for signs in signings):
-                return i, j, sum(inner), g
-    return None
+def has_signing(skips: list[int]) -> bool:
+    """Whether any of the 2^n signings of ``skips`` walks somewhere: its
+    steps' start congruences (``step_congruence``) merged one by one by
+    ``crt_merge``.  No period is scanned, so 40-digit skips stay cheap."""
+    for signs in itertools.product((1, -1), repeat=len(skips)):
+        congruence: tuple[int, int] | None = (0, 1)
+        offset = 0
+        for sign, skip in zip(signs, skips):
+            congruence = crt_merge(congruence, step_congruence(sign, skip, offset))
+            if congruence is None:
+                break
+            offset += sign * skip
+        else:
+            return True
+    return False
+
+
+def cycle_witness(s: tuple[int, ...], t: int, sp: SignedPattern) -> ESSWitness:
+    """The ESS witness read off an odd cycle over a transformed skip set
+    {s_1..s_n, M, t}: the cycle oriented to step down along t (reversing
+    it negates every step), X the indices i whose s_i it steps up once
+    more than down, and Y those it steps down once more than up."""
+    steps = sp.steps
+    if sum(sign for sign, skip in steps if skip == t) > 0:
+        steps = tuple((-sign, skip) for sign, skip in steps)
+    net = [sum(sign for sign, skip in steps if skip == s_i) for s_i in s]
+    return ESSWitness(
+        tuple(i for i, c in enumerate(net) if c == 1),
+        tuple(i for i, c in enumerate(net) if c == -1),
+    )
 
 
 def discrepancy_scan(values: list[int], skips: list[int], horizon: int) -> int:

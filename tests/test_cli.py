@@ -52,11 +52,12 @@ def test_classify_oversized_set_is_usage_error(capsys):
     assert "sizes 1-4" in err
 
 
-def test_check_unsigned_divisibility(capsys):
+def test_check_unsigned_no_signing_window(capsys):
+    # no signing of [5 1 10] walks, and [5 1] and [1 10] each have one
     code, data = run_json(capsys, "check", "-p", "[5 1 10]")
     assert code == 0
     assert data["status"] == "forbidden"
-    assert data["failure"] == {"i": 0, "j": 2, "reason": "divisibility"}
+    assert data["failure"] == {"i": 0, "j": 2, "reason": "no-signing"}
 
 
 def test_check_signed_parity(capsys):
@@ -78,13 +79,13 @@ def test_check_long_unsigned_pattern(capsys):
 
 
 def test_check_long_forbidden_unsigned_pattern(capsys):
-    # the one failing span starts at step 400, so the sign-free scan
-    # passes every span of the 400 ones before it reaches that span
+    # the signing walk dies at step 402, and the window walks back from
+    # it: [1 2] has a signing and [2 1 2] none
     skips = (1,) * 400 + (2, 1, 2)
-    assert strict_realizability(Pattern(skips)).failure == SubpathReport(400, 402, 1, 2, False, False)
+    assert strict_realizability(Pattern(skips)).failure == SubpathReport(400, 402, None, None, False, False)
     code, out, _ = run(capsys, "check", "-p", "[" + " ".join(map(str, skips)) + "]")
     assert code == 0
-    assert out == "forbidden (divisibility fails on steps 400..402)"
+    assert out == "forbidden (no signing fits steps 400..402)"
 
 
 def test_integers_past_the_str_digit_limit(capsys):
@@ -445,8 +446,8 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
         _row(
             ["check", "-p", "[5 1 10]"],
             0,
-            "forbidden (divisibility fails on steps 0..2)",
-            '{"status": "forbidden", "failure": {"i": 0, "j": 2, "reason": "divisibility"}}',
+            "forbidden (no signing fits steps 0..2)",
+            '{"status": "forbidden", "failure": {"i": 0, "j": 2, "reason": "no-signing"}}',
         ),
         _row(
             ["check", "-p", "[1 3 2]"],

@@ -27,9 +27,7 @@ from hapdisc.realizability import (
     FORBIDDEN,
     REALIZABLE,
     WEAKLY_REALIZABLE,
-    SubpathReport,
     _repeats_a_term,
-    _sign_free_divisibility_failure,
     _signings,
     _step_row,
     _subpath_reports,
@@ -39,7 +37,7 @@ from hapdisc.realizability import (
     weakly_realizable,
 )
 from hapdisc.reduction import ESSInstance, ess_solve
-from hapdisc.search import longest_odd_cycle, longest_path
+from hapdisc.search import _gcd_span, longest_odd_cycle, longest_path
 from hapdisc.skipgraph import (
     Coloring,
     OddCycleCertificate,
@@ -52,10 +50,10 @@ from oracles import (
     crt_merge,
     discrepancy_scan,
     ess_first_witness,
+    has_signing,
     least_walk_start,
     longest_block_walk,
     paper_conditions,
-    sign_free_span_failure,
     span_walk_exists,
     step_congruence,
     two_adic_valuation,
@@ -164,14 +162,16 @@ signing_skips = st.lists(
 @example([1, 2, 4, 8, 16], [-1, -1, -1, -1, -1, 1, 1])  # the second signing, at 31
 @example([3, 2, 1, 4], [1, 1, 1, 1, 1, 1, 1])  # no signing walks
 def test_signings_match_brute_force_and_number_at_most_two(skips, signs):
-    found = [(sp.signs, start) for sp, start in _signings(Pattern(tuple(skips)))]
+    signings, k = _signings(Pattern(tuple(skips)))
+    found = [(sp.signs, start) for sp, start in signings]
     assert found == weak_signings(skips)
     assert len(found) <= 2
+    assert (k == len(skips)) == bool(found)
     # a signed pattern offers only its own signs: itself at its least start,
     # or nothing
     sp = SignedPattern(tuple(zip(signs, skips)))
     start = least_walk_start(sp)
-    assert list(_signings(sp)) == ([] if start is None else [(sp, start)])
+    assert _signings(sp)[0] == ([] if start is None else [(sp, start)])
 
 
 @PROPERTY
@@ -230,21 +230,29 @@ BIG = 10**39 + 3
 @PROPERTY
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=9))
 @example([5, 1, 10])
-# i = 0 fails only at j = 4, after i = 1 has failed at j = 3
+# the walk dies at step 3, and the window is [3 1 3], steps 1..3
 @example([2, 3, 1, 3, 2])
 @example([5 * BIG, BIG, BIG, BIG, 10 * BIG])
-def test_sign_free_failure_matches_signing_scan(skips):
-    # the first span no signing of its inner skips makes divisible, by i
-    # and then j, and that span is the unsigned pattern's forbidden report
+# [3 1] walks as [+3 -1], so no window may end at step 1
+@example([3, 1, 5, 3])
+def test_no_signing_window_matches_signing_scan(skips):
+    # a forbidden unsigned pattern reports steps i..k, k the first prefix
+    # end with no signing, that no signing fits while the two windows one
+    # step shorter, which hold every proper sub-window, each have one;
+    # the rule engine's GCD-span reports the same window
     p = Pattern(tuple(skips))
-    expected = sign_free_span_failure(skips)
-    report = _sign_free_divisibility_failure(p)
-    if expected is None:
-        assert report is None
-        return
-    assert report == SubpathReport(*expected, False, False)
     verdict = strict_realizability(p)
-    assert (verdict.status, verdict.failure) == (FORBIDDEN, report)
+    if verdict.status != FORBIDDEN:
+        assert has_signing(skips)
+        assert _gcd_span(p) is None
+        return
+    failure = verdict.failure
+    i, k = failure.i, failure.j
+    assert (failure.intermediate_sum, failure.gcd, failure.reason) == (None, None, "no-signing")
+    assert not has_signing(skips[i : k + 1])
+    assert has_signing(skips[i + 1 : k + 1]) and has_signing(skips[i:k])
+    assert has_signing(skips[:k])
+    assert _gcd_span(p) == (i, k)
 
 
 @pytest.mark.parametrize(

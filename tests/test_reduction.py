@@ -13,8 +13,12 @@ from hapdisc.reduction import (
     ESSWitness,
     build_d1_instance,
     ess_solve,
+    validate_witness,
     witness_cycle,
 )
+from hapdisc.search import _search
+
+from oracles import cycle_witness
 
 
 def test_instance_validation():
@@ -140,3 +144,32 @@ def test_forward_direction_small_sweep():
         assert step_counts(ri, cycle) == counts
         assert ri.M % 2 == 0
         assert all(x % 2 == 1 for x in ri.s) and ri.t % 2 == 1
+
+
+def exact_cycle_decides(values) -> int:
+    """Decide the ESS instance ``values`` by the cycle search on its
+    transformed set, and return the cap that made the search exact.
+
+    The cap grows 3, 5, 7, ... until no prune that depends on it fires,
+    so a "none" proves that no odd cycle exists.  The search must find a
+    cycle just when ``ess_solve`` finds a witness, and each cycle must
+    map back to a valid witness."""
+    inst = ESSInstance.of(values)
+    ri = build_d1_instance(inst)
+    for cap in range(3, 32, 2):
+        found, truncated = _search(ri.skip_set, cap, cycles=True)
+        if not truncated:
+            break
+    else:
+        pytest.fail(f"{values}: the cycle search is still capped at {cap}")
+    assert (found is not None) == (ess_solve(inst) is not None), values
+    if found is not None:
+        validate_witness(inst, cycle_witness(ri.s, ri.t, found.signed))
+    return cap
+
+
+def test_backward_direction_small_sweep():
+    # the paper's hardness theorem both ways on every instance of 3-4
+    # elements from 1..9: an odd cycle exactly when a witness exists
+    caps = [exact_cycle_decides(values) for size in (3, 4) for values in combinations(range(1, 10), size)]
+    assert (len(caps), max(caps)) == (210, 11)

@@ -75,8 +75,9 @@ def test_rule_scan_span_is_reported():
 
 
 def test_rule_scan_drops_each_gcd_after_its_last_span():
-    # gcd(3B, 5B) = B is needed only for the span (0, 2); the +/-3**k after
-    # it reach 2**20 distinct residues mod B, a set the scan must never build
+    # the signing walk dies at step 3, and no signing fits steps 0..3; the
+    # +/-3**k after it reach 2**20 distinct residues mod gcd(3B, 5B) = B,
+    # which no rule may enumerate
     big = 10**39 + 3
     p = Pattern((3 * big, big, 5 * big) + tuple(3**k for k in range(1, 21)))
     tracemalloc.start()
@@ -85,14 +86,15 @@ def test_rule_scan_drops_each_gcd_after_its_last_span():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict == RuleVerdict(False, None, None)
+    assert verdict == RuleVerdict(True, "GCD-span", (0, 3))
     assert peak < 1_000_000
 
 
 def test_rule_scan_skips_sign_free_scan_when_a_signing_exists():
     # [5g 3 9 ... 3**21 7g], with g the signed sum of a strict signing of
-    # [3 9 ... 3**21] stripped of its factors 2 and 3, is realizable; its
-    # span (0, 22) would need all 2**21 signed inner sums modulo g
+    # [3 9 ... 3**21] stripped of its factors 2 and 3, is realizable, so
+    # GCD-span walks no window; a scan of its span (0, 22) would need all
+    # 2**21 signed inner sums modulo g
     inner = Pattern(tuple(3**k for k in range(1, 22)))
     g = abs(strict_realizability(inner).signed.signed_sum)
     for factor in (2, 3):

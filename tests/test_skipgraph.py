@@ -253,14 +253,19 @@ def _certificate_bytes(found):
 
 def test_union_find_matches_bfs_on_small_sets(monkeypatch):
     # every block below 2**16 takes the BFS; the union-find must give the
-    # same coloring, or the same certificate through its BFS restart
+    # same coloring, or the same certificate through its BFS restart, and
+    # find an odd component just when the BFS does: a false one would be
+    # hidden by the BFS that restarts from it
     sets = [s for k in (2, 3, 4) for s in combinations(range(1, 14), k) if math.gcd(*s) == 1]
     assert max(2 * math.lcm(*s) for s in sets) < skipgraph._VECTOR_MIN_PERIOD
-    by_bfs = [_certificate_bytes(solve_block(build_graph(s))) for s in sets]
+    by_bfs = [solve_block(build_graph(s)) for s in sets]
     monkeypatch.setattr(skipgraph, "_VECTOR_MIN_PERIOD", 1)
     by_union_find = [_certificate_bytes(solve_block(build_graph(s))) for s in sets]
-    assert by_union_find == by_bfs
-    assert sum(isinstance(found, str) for found in by_bfs) == 260
+    assert by_union_find == [_certificate_bytes(found) for found in by_bfs]
+    for s, found in zip(sets, by_bfs):
+        forces = isinstance(found, OddCycleCertificate)
+        assert isinstance(skipgraph._parity_union_find(build_graph(s)), int) == forces, s
+    assert sum(isinstance(found, OddCycleCertificate) for found in by_bfs) == 260
 
 
 def test_union_find_matches_bfs_in_the_workload_range(monkeypatch):
