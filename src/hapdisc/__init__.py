@@ -6,7 +6,10 @@ equal-sum-subsets hardness transformation.
 ``_LAZY`` below is the package's surface: every public name but
 ``classify``, with the module that defines it, imported on first access
 (PEP 562).  So a module that no eager import pulls in loads only when
-one of its names is used.
+one of its names is used.  The eager modules are ``classify`` and the
+two it imports, ``pattern`` and ``realizability``; ``skipgraph``,
+``search`` and ``reduction`` wait for a name.  The records are named
+tuples, so no module imports ``dataclasses``.
 """
 
 import importlib

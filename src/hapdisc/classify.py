@@ -22,10 +22,9 @@ every verdict on the subsets of 1..24 by digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .pattern import SignedPattern, sorted_skips
 from .realizability import valid_odd_cycle
@@ -49,14 +48,13 @@ class UnsupportedSizeError(ValueError):
         self.size = size
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     forces: bool
     rule: str
     labeling: dict[str, int] | None = None
     predicted_cycle: SignedPattern | None = None
     predicted_start: int | None = None
-    satisfied_bullets: tuple[str, ...] = field(default=())
+    satisfied_bullets: tuple[str, ...] = ()
 
 
 def _rule(order: str, *cycles: str) -> tuple[str, tuple]:

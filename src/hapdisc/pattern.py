@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class PatternSyntaxError(ValueError):
@@ -47,36 +46,50 @@ def sorted_skips(values: Iterable[int]) -> tuple[int, ...]:
     return ss
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """An unsigned sequence of skip sizes."""
-
+# The records are named tuples, which import faster than dataclasses.  A
+# NamedTuple body may not define ``__new__``, so each pattern type checks its
+# steps in the ``__new__`` of a subclass of its field-only base.  Its
+# ``__len__`` counts steps, not fields, and the named tuple's ``_make`` and
+# ``_replace`` skip ``__new__`` and check the field count with ``len``: they
+# fail on any pattern but a one-step one, so neither is used on these types.
+class _PatternFields(NamedTuple):
     skips: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.skips:
+
+class Pattern(_PatternFields):
+    """An unsigned sequence of skip sizes."""
+
+    __slots__ = ()
+
+    def __new__(cls, skips: tuple[int, ...]) -> Pattern:
+        if not skips:
             raise ValueError("pattern must contain at least one skip")
-        if any(s < 1 for s in self.skips):
-            raise ValueError(f"skips must be positive, got {self.skips}")
+        if any(s < 1 for s in skips):
+            raise ValueError(f"skips must be positive, got {skips}")
+        return super().__new__(cls, skips)
 
     def __len__(self) -> int:
         return len(self.skips)
 
 
-@dataclass(frozen=True)
-class SignedPattern:
-    """A sequence of (sign, skip) steps with sign in {+1, -1}."""
-
+class _SignedPatternFields(NamedTuple):
     steps: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+
+class SignedPattern(_SignedPatternFields):
+    """A sequence of (sign, skip) steps with sign in {+1, -1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: tuple[tuple[int, int], ...]) -> SignedPattern:
+        if not steps:
             raise ValueError("pattern must contain at least one step")
-        for sign, skip in self.steps:
+        for sign, skip in steps:
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
             if skip < 1:
                 raise ValueError(f"skips must be positive, got {skip}")
+        return super().__new__(cls, steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -158,8 +171,7 @@ def _step_sign(t: int, a: int) -> int:
     return 1 if r == 0 else -1 if r == a else 0
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """A signed pattern walked from a concrete start term: a record for
     output, which the ``realize`` verb and the certificates' JSON read.
 

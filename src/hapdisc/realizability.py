@@ -28,9 +28,8 @@ whatever the start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .pattern import AnyPattern, Pattern, SignedPattern
 
@@ -39,8 +38,7 @@ WEAKLY_REALIZABLE = "weakly-realizable"
 REALIZABLE = "realizable"
 
 
-@dataclass(frozen=True)
-class SubpathReport:
+class SubpathReport(NamedTuple):
     """Divisibility/parity verdict for the subpath spanned by steps i..j.
     A window of an unsigned pattern that no signing fits has no single
     inner sum or gcd: both are None and its reason is ``no-signing``."""
@@ -67,16 +65,14 @@ class SubpathReport:
         return None
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(NamedTuple):
     status: str
     witness_start: int | None = None
     failure: SubpathReport | None = None
     signed: SignedPattern | None = None
 
 
-@dataclass(frozen=True)
-class CycleVerdict:
+class CycleVerdict(NamedTuple):
     """``valid_odd_cycle``'s result; ``reason`` is ``even-length``,
     ``nonzero-sum``, ``not-weakly-realizable`` or ``repeated-term``."""
 

@@ -31,9 +31,8 @@ and a level of more than LEVEL_LIMIT subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .pattern import SignedPattern
 
@@ -49,8 +48,7 @@ class BudgetExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ESSInstance:
+class ESSInstance(NamedTuple):
     """A set of distinct positive integers, sorted ascending."""
 
     elements: tuple[int, ...]
@@ -71,8 +69,7 @@ class ESSInstance:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class ESSWitness:
+class ESSWitness(NamedTuple):
     """Disjoint index sets with |X| = |Y| + 1 and equal element sums."""
 
     x_indices: tuple[int, ...]
@@ -85,8 +82,7 @@ class ESSWitness:
         )
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     source: ESSInstance
     M: int
     r: int

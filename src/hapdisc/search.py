@@ -45,8 +45,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .pattern import AnyPattern, Pattern, SignedPattern, _walk_order, sorted_skips
 from .realizability import (
@@ -61,15 +60,13 @@ from .realizability import (
 )
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     forbidden: bool
     rule_id: str | None = None
     span: tuple[int, int] | None = None  # inclusive step-index range
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     kind: str  # "path" or "odd-cycle"
     length: int
     start: int

@@ -35,8 +35,7 @@ so the cut also decides whether ``color`` and ``cycle`` load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .pattern import DEFAULT_PERIOD_CAP, SignedPattern, _step_sign, _walk_order, sorted_skips
 from .realizability import valid_odd_cycle
@@ -66,8 +65,7 @@ class PeriodCapExceeded(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class SkipGraph:
+class SkipGraph(NamedTuple):
     """One period block of the graph induced by a skip set."""
 
     skips: tuple[int, ...]
@@ -85,8 +83,7 @@ def build_graph(skips: Iterable[int], cap: int = DEFAULT_PERIOD_CAP) -> SkipGrap
     return SkipGraph(ss, period)
 
 
-@dataclass
-class Coloring:
+class Coloring(NamedTuple):
     """Signs of one period block, extended periodically: 0x01 for +1, 0xFF for -1."""
 
     signs: bytearray
@@ -121,8 +118,7 @@ class Coloring:
         return cls(signs)
 
 
-@dataclass(frozen=True)
-class OddCycleCertificate:
+class OddCycleCertificate(NamedTuple):
     """A concrete odd cycle: proof that the skip set forces discrepancy two."""
 
     signed_pattern: SignedPattern

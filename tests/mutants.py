@@ -130,6 +130,46 @@ MUTANTS = (
     ("src/hapdisc/realizability.py", "range(k - 1, -1, -1)", "range(k)", (WINDOW, DIGEST)),
     # the walk reports the step after the one it died at
     ("src/hapdisc/realizability.py", "return [], k", "return [], k + 1", (WINDOW,)),
+    # a closed walk keeps its return to the start, so every cycle repeats a term
+    (
+        "src/hapdisc/realizability.py",
+        "    if closed:\n        sums.pop()\n",
+        "",
+        (
+            "tests/test_realizability.py::test_triangle_cycle_valid_at_0",
+            "tests/test_records.py::test_record_repr_and_immutability[CycleVerdict]",
+        ),
+    ),
+    # the walk order puts - before +: other cycle certificates and search rows
+    (
+        "src/hapdisc/pattern.py",
+        "tuple(sign < 0 for sign, _ in steps)",
+        "tuple(sign > 0 for sign, _ in steps)",
+        (
+            "tests/test_skipgraph.py::test_find_odd_cycle_triangle",
+            "tests/test_search.py::test_search_results_pinned[cycle-1-3-5-22-31]",
+        ),
+    ),
+    # a signed pattern accepts any sign
+    (
+        "src/hapdisc/pattern.py",
+        '            if sign not in (1, -1):\n                raise ValueError(f"sign must be +1 or -1, got {sign}")\n',
+        "",
+        (
+            "tests/test_pattern.py::test_construction_errors[signed-bad-sign]",
+            "tests/test_pattern.py::test_construction_errors[signed-zero-sign]",
+        ),
+    ),
+    # an unsigned pattern accepts skips below 1
+    (
+        "src/hapdisc/pattern.py",
+        '        if any(s < 1 for s in skips):\n            raise ValueError(f"skips must be positive, got {skips}")\n',
+        "",
+        (
+            "tests/test_pattern.py::test_construction_errors[zero-skip]",
+            "tests/test_pattern.py::test_construction_errors[negative-skip]",
+        ),
+    ),
 )
 
 

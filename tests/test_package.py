@@ -74,7 +74,7 @@ def test_public_surface_is_pinned():
 
 # Runs the argv lists given as its first argument through ``cli.main`` in a
 # fresh interpreter and reports, as one JSON line, which hapdisc modules and
-# whether json and numpy were loaded after ``import hapdisc, hapdisc.cli``
+# whether json, numpy and dataclasses were loaded after ``import hapdisc, hapdisc.cli``
 # and after each verb, each verb's exit code and stdout, and the type of
 # ``hapdisc.classify`` once its submodule is imported by name.
 _IMPORT_PROBE = """
@@ -86,6 +86,7 @@ def state():
         "hapdisc": sorted(m for m in sys.modules if m.startswith("hapdisc.")),
         "json": "json" in sys.modules,
         "numpy": "numpy" in sys.modules,
+        "dataclasses": "dataclasses" in sys.modules,
     }
 
 def run(argv):
@@ -120,8 +121,10 @@ def _probe(*argvs):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     # the block solver, the search and the reduction wait for a verb
-    assert report["import"] == {"hapdisc": EAGER, "json": False, "numpy": False}
+    assert report["import"] == {"hapdisc": EAGER, "json": False, "numpy": False, "dataclasses": False}
     assert report["classify"] == "function"
+    # the records are named tuples: no verb, numpy's included, loads dataclasses
+    assert not any(state["dataclasses"] for _, _, state in report["runs"])
     return report["runs"]
 
 

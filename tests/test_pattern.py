@@ -80,12 +80,25 @@ def test_infer_signs_rejects_non_multiple():
     [
         (lambda: Pattern(()), "pattern must contain at least one skip"),
         (lambda: Pattern((0,)), "skips must be positive, got (0,)"),
+        (lambda: Pattern((2, -1)), "skips must be positive, got (2, -1)"),
         (lambda: SignedPattern(()), "pattern must contain at least one step"),
         (lambda: SignedPattern(((2, 1),)), "sign must be +1 or -1, got 2"),
+        (lambda: SignedPattern(((0, 1),)), "sign must be +1 or -1, got 0"),
         (lambda: SignedPattern(((1, 0),)), "skips must be positive, got 0"),
+        (lambda: SignedPattern(((1, 2), (-1, -3))), "skips must be positive, got -3"),
         (lambda: realize(Pattern((1,)), -1), "start term must be nonnegative, got -1"),
     ],
-    ids=["empty", "zero-skip", "signed-empty", "signed-bad-sign", "signed-zero-skip", "negative-start"],
+    ids=[
+        "empty",
+        "zero-skip",
+        "negative-skip",
+        "signed-empty",
+        "signed-bad-sign",
+        "signed-zero-sign",
+        "signed-zero-skip",
+        "signed-negative-skip",
+        "negative-start",
+    ],
 )
 def test_construction_errors(make, message):
     with pytest.raises(ValueError) as err:

@@ -22,10 +22,14 @@ from oracles import cycle_witness
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        ESSInstance.of([1, 1])
-    with pytest.raises(ValueError):
-        ESSInstance.of([0, 2])
+    for values, message in [
+        ([], "instance must be nonempty"),
+        ([2, 0, 1], "elements must be positive, got (0, 1, 2)"),
+        ([2, 1, 2], "elements must be distinct, got (1, 2, 2)"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            ESSInstance.of(values)
+        assert str(err.value) == message
     assert ESSInstance.of([3, 1, 2]).elements == (1, 2, 3)
 
 
