@@ -18,18 +18,18 @@ two end steps' congruences agree modulo 2 gcd(a_i, a_j).  One signing
 walk decides every verdict: it merges the congruences step by step,
 admitting + then - on an unsigned pattern by one residue test, and
 reports the least nonnegative solution as the witness start, or else
-the step where every signing died, the end of an unsigned pattern's
-minimal window that no signing fits.  Strict
-realizability additionally demands that the walk repeat no term (an arc
-repeat implies one): the partial sums of its signed steps decide that,
-whatever the start.
+the step k where every signing died.  Every forbidden pattern reports
+the minimal window i..k that no signing fits, i the largest such start
+(``_obstruction``).  Strict realizability additionally demands that the
+walk repeat no term (an arc repeat implies one): the partial sums of
+its signed steps decide that, whatever the start.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .pattern import AnyPattern, Pattern, SignedPattern
 
@@ -108,18 +108,6 @@ def check_subpath(sp: SignedPattern, i: int, j: int) -> SubpathReport:
     return _span(i, j, steps[i], inner, steps[j])
 
 
-def _subpath_reports(sp: SignedPattern) -> Iterator[SubpathReport]:
-    """``check_subpath(sp, i, j)`` for every i < j, ordered by i and then
-    j; a running intermediate sum keeps the whole scan O(n^2)."""
-    steps = sp.steps
-    for i, first in enumerate(steps):
-        inner = 0
-        for j in range(i + 1, len(steps)):
-            yield _span(i, j, first, inner, steps[j])
-            sign_j, a_j = steps[j]
-            inner += sign_j * a_j
-
-
 def _step_row(modulus: int, a: int) -> tuple[int, int, int]:
     """The step row ``(g, step, inv)`` of skip ``a`` against a start
     congruence (residue, modulus): g = gcd(modulus, 2a), step = 2a / g and
@@ -176,15 +164,30 @@ def _signings(p: AnyPattern) -> tuple[list[tuple[SignedPattern, int]], int]:
     return [(SignedPattern(tuple(zip(signs, skips))), start) for signs, _, start in live], len(skips)
 
 
-def _no_signing_window(skips: tuple[int, ...], k: int) -> SubpathReport:
-    """The window of steps i..k that no signing of ``skips`` fits, where k
-    is the step the signing walk died at and i the largest start such a
+def _obstruction(p: AnyPattern, k: int) -> SubpathReport:
+    """The window of steps i..k that no signing of ``p`` fits, where k is
+    the step the signing walk died at and i the largest start such a
     window has (a lone step always walks, so i < k).  Steps i+1..k have a
     signing by the choice of i, and steps i..k-1 as part of steps 0..k-1,
     so every proper sub-window has one: the window is a minimal
-    obstruction."""
-    i = next(i for i in range(k - 1, -1, -1) if not _signings(Pattern(skips[i : k + 1]))[0])
-    return SubpathReport(i, k, None, None, False, False)
+    obstruction.  An unsigned window takes one walk per start.  A signed
+    one is a system of congruences, solvable iff every pair is, and all
+    pairs but (i, k) lie in the two shorter windows: that span decides it
+    and is the report."""
+    if isinstance(p, Pattern):
+        skips = p.skips
+        for i in range(k - 1, -1, -1):
+            if not _signings(Pattern(skips[i : k + 1]))[0]:
+                return SubpathReport(i, k, None, None, False, False)
+    else:
+        steps, inner = p.steps, 0
+        for i in range(k - 1, -1, -1):
+            report = _span(i, k, steps[i], inner, steps[k])
+            if not report.ok:
+                return report
+            sign, a = steps[i]
+            inner += sign * a
+    raise RuntimeError(f"the signing walk died at step {k} of {p}, but every window ending there passed")
 
 
 def _repeats_a_term(sp: SignedPattern, closed: bool = False) -> bool:
@@ -197,28 +200,13 @@ def _repeats_a_term(sp: SignedPattern, closed: bool = False) -> bool:
     return len(set(sums)) < len(sums)
 
 
-def _forbidden(p: AnyPattern, k: int) -> RealizabilityVerdict:
-    """FORBIDDEN with its obstruction, given the step k the signing walk
-    died at: the first failing span of a signed pattern, the minimal
-    window that no signing fits of an unsigned one."""
-    if isinstance(p, Pattern):
-        return RealizabilityVerdict(FORBIDDEN, failure=_no_signing_window(p.skips, k))
-    failure = next((report for report in _subpath_reports(p) if not report.ok), None)
-    if failure is None:
-        raise RuntimeError(
-            "congruence system unsolvable but every subpath passed; "
-            f"pattern {p.steps} breaks the engine's core equivalence"
-        )
-    return RealizabilityVerdict(FORBIDDEN, failure=failure)
-
-
 def weakly_realizable(sp: SignedPattern) -> RealizabilityVerdict:
     """Decide weak realizability and produce the least witness start: the
-    signing the walk yields, else the lexicographically first failing
-    (i, j) subpath."""
+    signing the walk yields, else the minimal failing span that ends where
+    the walk died (``_obstruction``)."""
     signings, k = _signings(sp)
     if not signings:
-        return _forbidden(sp, k)
+        return RealizabilityVerdict(FORBIDDEN, failure=_obstruction(sp, k))
     signed, start = signings[0]
     return RealizabilityVerdict(WEAKLY_REALIZABLE, start, signed=signed)
 
@@ -236,7 +224,7 @@ def strict_realizability(p: AnyPattern) -> RealizabilityVerdict:
     """
     signings, k = _signings(p)
     if not signings:
-        return _forbidden(p, k)
+        return RealizabilityVerdict(FORBIDDEN, failure=_obstruction(p, k))
     strict = next((found for found in signings if not _repeats_a_term(found[0])), None)
     sp, start = strict or signings[0]
     return RealizabilityVerdict(WEAKLY_REALIZABLE if strict is None else REALIZABLE, start, signed=sp)

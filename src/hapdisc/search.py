@@ -7,8 +7,8 @@ repeats, using local window shapes: an immediately repeated skip, the
 outer skip exceeds both inner ones, any three pairs packed into six
 consecutive steps, the seven-step shape [b a c a b a c], odd runs of odd
 skips fenced by even skips, the sign rules on adjacent steps, and last
-the span obstructions: a signed pattern's first span whose divisibility
-fails, an unsigned one's minimal window that no signing fits.  These are
+the span obstruction: the minimal window of steps that no signing fits,
+ending where the signing walk dies, for either kind of pattern.  These are
 necessary conditions only; surviving every rule does not certify
 realizability.
 
@@ -50,10 +50,9 @@ from typing import Iterable, NamedTuple
 from .pattern import AnyPattern, Pattern, SignedPattern, _walk_order, sorted_skips
 from .realizability import (
     REALIZABLE,
-    _no_signing_window,
+    _obstruction,
     _signings,
     _step_row,
-    _subpath_reports,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -115,18 +114,11 @@ def _adjacent_parity(same_sign: bool):
 
 
 def _gcd_span(p):
-    # A weakly realizable signing passes divisibility on every span, so the
-    # O(n^2) span scan of a signed pattern runs only when the O(n) signing
-    # walk finds none; an unsigned one reports the walk's minimal window
-    # that no signing fits, as ``strict_realizability`` does.
+    # The O(n) signing walk decides; a pattern with no signing reports the
+    # (i, j) of the minimal window where the walk died, as
+    # ``strict_realizability`` does.
     signings, k = _signings(p)
-    if signings:
-        return None
-    if isinstance(p, Pattern):
-        failure = _no_signing_window(p.skips, k)
-    else:
-        failure = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
-    return None if failure is None else (failure.i, failure.j)
+    return None if signings else _obstruction(p, k)[:2]
 
 
 def _three_pairs(*w: int) -> bool:

@@ -31,6 +31,7 @@ GATE = "tests/test_search.py::test_search_gate_admits_exactly_the_merging_steps"
 DIGEST = "tests/test_realizability.py::test_realizability_golden_digest"
 LEAK = "tests/test_search.py::test_search_tables_do_not_leak_between_skip_sets"
 WINDOW = "tests/test_properties.py::test_no_signing_window_matches_signing_scan"
+SIGNED_WINDOW = "tests/test_properties.py::test_signed_verdict_matches_walk_scan"
 # three pinned blocks whose later rounds need every pointer step, hook and jump
 UNION_FIND = ("tests/test_skipgraph.py::test_union_find_later_rounds_pinned",)
 
@@ -127,7 +128,28 @@ MUTANTS = (
         ("tests/test_reduction.py::test_build_d1_instance_hand_checked",),
     ),
     # the window takes the smallest start, walking starts upward from 0
-    ("src/hapdisc/realizability.py", "range(k - 1, -1, -1)", "range(k)", (WINDOW, DIGEST)),
+    (
+        "src/hapdisc/realizability.py",
+        "range(k - 1, -1, -1):\n            if not _signings",
+        "range(k):\n            if not _signings",
+        (WINDOW, DIGEST),
+    ),
+    # a signed window's starts are tried upward from 0
+    (
+        "src/hapdisc/realizability.py",
+        "range(k - 1, -1, -1):\n            report = _span",
+        "range(k):\n            report = _span",
+        (SIGNED_WINDOW, DIGEST),
+    ),
+    # a signed window's inner sum stays 0 as its start walks down
+    ("src/hapdisc/realizability.py", "            inner += sign * a\n", "", (SIGNED_WINDOW, DIGEST)),
+    # a span's last step is taken to leave an odd multiple when it steps up
+    (
+        "src/hapdisc/realizability.py",
+        "(a_last if sign_last < 0 else 0)",
+        "(a_last if sign_last > 0 else 0)",
+        ("tests/test_properties.py::test_span_verdicts_match_two_step_scan", DIGEST),
+    ),
     # the walk reports the step after the one it died at
     ("src/hapdisc/realizability.py", "return [], k", "return [], k + 1", (WINDOW,)),
     # a closed walk keeps its return to the start, so every cycle repeats a term

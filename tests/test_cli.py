@@ -147,6 +147,13 @@ def test_realize_unrealizable_signed_needs_start(capsys):
     assert err == "error: pattern is not weakly realizable (parity fails on steps 0..3); give --start explicitly"
 
 
+def test_realize_signed_names_the_minimal_window(capsys):
+    # [+1 -1] walks from 0, and no start walks [-1 -1]
+    code, out, err = run(capsys, "realize", "-p", "[+1 -1 -1]")
+    assert (code, out) == (2, "")
+    assert err == "error: pattern is not weakly realizable (parity fails on steps 1..2); give --start explicitly"
+
+
 def test_longest_rows(capsys):
     code, out, _ = run(capsys, "longest", "-s", "1,3", "--kind", "path")
     assert code == 0
@@ -467,6 +474,14 @@ COLORING_234 = "+1 +1 -1 -1 -1 +1 +1 +1 +1 -1 -1 +1 -1 +1 +1 +1 +1 +1 -1 +1 -1 +
             0,
             "forbidden (parity fails on steps 0..3)",
             '{"status": "forbidden", "failure": {"i": 0, "j": 3, "reason": "parity"}}',
+        ),
+        # parity fails on steps 0..2 too, but [+1 -1] walks: the window is
+        # steps 1..2, where the signing walk dies
+        _row(
+            ["check", "-p", "[+1 -1 -1]"],
+            0,
+            "forbidden (parity fails on steps 1..2)",
+            '{"status": "forbidden", "failure": {"i": 1, "j": 2, "reason": "parity"}}',
         ),
         _row(
             ["realize", "-p", "[2 1 3]", "--start", "0"],

@@ -30,7 +30,6 @@ from hapdisc.realizability import (
     _repeats_a_term,
     _signings,
     _step_row,
-    _subpath_reports,
     check_subpath,
     strict_realizability,
     valid_odd_cycle,
@@ -176,14 +175,26 @@ def test_signings_match_brute_force_and_number_at_most_two(skips, signs):
 
 @PROPERTY
 @given(signed_patterns)
+# parity fails on steps 0..2 as well, but the window is steps 1..2
+@example(SignedPattern(((1, 1), (-1, 1), (-1, 1))))
+# no span fails divisibility: parity on steps 0..3 sinks the walk
+@example(SignedPattern(((1, 2), (1, 1), (-1, 3), (-1, 2))))
 def test_signed_verdict_matches_walk_scan(sp):
-    # the least start, else the first (i, j) whose one-span check fails
+    # the least start, else the span (i, k): k is the first prefix end that
+    # does not walk, window i..k does not walk, and the two windows one step
+    # shorter, which hold every proper sub-window, both walk
     weak = weakly_realizable(sp)
     assert weak.witness_start == least_walk_start(sp)
     if weak.status == FORBIDDEN:
-        n = len(sp)
-        first = next((i, j) for i in range(n) for j in range(i + 1, n) if not check_subpath(sp, i, j).ok)
-        assert strict_realizability(sp).failure == weak.failure == check_subpath(sp, *first)
+
+        def walks(i: int, j: int) -> bool:
+            return least_walk_start(SignedPattern(sp.steps[i : j + 1])) is not None
+
+        i, k = weak.failure.i, weak.failure.j
+        assert not walks(i, k)
+        assert walks(i + 1, k) and walks(i, k - 1)
+        assert walks(0, k - 1)
+        assert strict_realizability(sp).failure == weak.failure == check_subpath(sp, i, k)
 
 
 def paper_parity(first: tuple[int, int], inner: int, last: tuple[int, int]) -> bool:
@@ -206,16 +217,13 @@ def paper_parity(first: tuple[int, int], inner: int, last: tuple[int, int]) -> b
 @given(signed_patterns)
 def test_span_verdicts_match_two_step_scan(sp):
     # a span passes exactly when its two end steps can both leave from the
-    # multiples their signs require, with the inner sum between them; the
-    # O(n^2) scan reports every span, in order, as check_subpath does
+    # multiples their signs require, with the inner sum between them
     steps = sp.steps
     n = len(sp)
-    reports = list(_subpath_reports(sp))
-    assert [(r.i, r.j) for r in reports] == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for report in reports:
-        i, j = report.i, report.j
+    for i, j in itertools.combinations(range(n), 2):
+        report = check_subpath(sp, i, j)
         inner = sum(sign * skip for sign, skip in steps[i + 1 : j])
-        assert report == check_subpath(sp, i, j)
+        assert (report.i, report.j, report.intermediate_sum) == (i, j, inner)
         assert report.divisibility_ok == (inner % math.gcd(steps[i][1], steps[j][1]) == 0)
         assert report.ok == span_walk_exists(steps[i], inner, steps[j])
         if report.divisibility_ok:

@@ -309,11 +309,12 @@ def _digest(patterns) -> tuple[str, int]:
 
 
 def test_realizability_golden_digest():
-    # every unsigned pattern of 1-5 steps over skips 1..6, whose forbidden
-    # ones report the window no signing fits, and 2 000 seeded signed
-    # ones, whose lines are those recorded before that window existed
+    # every unsigned pattern of 1-5 steps over skips 1..6 and 2 000 seeded
+    # signed ones, whose forbidden ones report the minimal window where the
+    # signing walk died: no signing fits an unsigned one, and a signed
+    # one's span fails divisibility or parity
     unsigned = [Pattern(skips) for n in range(1, 6) for skips in product(range(1, 7), repeat=n)]
     rng = random.Random(35)
     signed = [random_signed(rng, max_skip=6, max_len=7) for _ in range(2000)]
     assert _digest(unsigned) == ("f82ad108a672d4d92ea88efe43a0fe9d4079ed8937533c900296575ca76d1e91", 3)
-    assert _digest(signed) == ("9a6d805f8b4350116df655e33a3a3dd4141dccefc6082e53b251b464eb688d12", 6)
+    assert _digest(signed) == ("3a6791ff2016e18b89d9795d7901c06d39df5823b0cea9b7ee49b9aaea8b3e13", 6)

@@ -10,11 +10,7 @@ import pytest
 from hapdisc import realizability, search
 from hapdisc.cli import main
 from hapdisc.pattern import Pattern, SignedPattern, format_pattern, parse_pattern
-from hapdisc.realizability import (
-    _subpath_reports,
-    strict_realizability,
-    valid_odd_cycle,
-)
+from hapdisc.realizability import check_subpath, strict_realizability, valid_odd_cycle
 from hapdisc.search import RuleVerdict, longest_odd_cycle, longest_path, rule_scan
 from oracles import crt_merge, step_congruence
 from test_acceptance import KNOWN_LONG_ROWS
@@ -469,9 +465,9 @@ def test_golden_digest():
 
 def test_signed_rule_scan_matches_the_span_scan():
     # every signing of the rows above plus 2 000 seeded random signed
-    # patterns: GCD-span reports the first span the full scan fails on,
-    # although it skips that scan when the signing walk succeeds, and
-    # rule_scan's verdicts are those recorded before it skipped it
+    # patterns: GCD-span fires just when some span fails, and reports the
+    # window whose end k is the least j of a failing span (i, j), and
+    # whose start is the largest i failing with k
     patterns = []
     for text, _, _ in FIRES + SIGN_RULES:
         skips = parse_pattern(text).skips
@@ -483,11 +479,13 @@ def test_signed_rule_scan_matches_the_span_scan():
         patterns.append(SignedPattern(tuple((rng.choice((1, -1)), a) for a in skips)))
     failing = 0
     for p in patterns:
-        first = next((r for r in _subpath_reports(p) if not r.divisibility_ok), None)
-        failing += first is not None
-        assert search._gcd_span(p) == (None if first is None else (first.i, first.j))
-    assert failing == 1613
+        spans = [(i, j) for i, j in combinations(range(len(p)), 2) if not check_subpath(p, i, j).ok]
+        failing += bool(spans)
+        k = min((j for _, j in spans), default=None)
+        window = None if k is None else (max(i for i, j in spans if j == k), k)
+        assert search._gcd_span(p) == window
+    assert failing == 2139
     lines = [repr(rule_scan(p)) for p in patterns]
-    assert sum("GCD-span" in line for line in lines) == 24
+    assert sum("GCD-span" in line for line in lines) == 25
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "1b8ca72fe606985e8a80a8629ab98b8d2f8060c8b4feb68e1d1478c17613dfa8"
+    assert digest == "95fdb28bcea008244b61f44fb7dc4866e9e7a2c0fe90002df772dd233e635073"
